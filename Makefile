@@ -116,17 +116,16 @@ bench-shard:
 # The sharded-kernel differential gate under the race detector: with
 # Config.Shards as the only difference, Results (event counters included),
 # telemetry bytes, and snapshot encodings must be bit-identical to the
-# sequential kernel across the 10-config matrix and shard counts {2,4,8} —
-# with the phase-2 shardings (batched idle-span plan prep, sharded
-# construction and walker init) enabled, since scenario.New arms them for
-# every sharded run. The unit tier pins the mobility/radio batch phases,
-# the pool/kernel ownership rules, the scheduler's batch-step discipline,
-# the XiEpochs prep table, and the CoreBudget run/shard split directly.
+# sequential kernel across the 10-config matrix and shard counts {2,4,8}.
+# Construction and idle-span planning are sequential; only the mobility,
+# index-refresh and carrier-poll batch phases shard. The unit tier pins
+# those phases, the pool/kernel ownership rules, the pool's lifecycle (no
+# leaked workers), and the CoreBudget run/shard split directly.
 shard-diff:
 	$(GO) test -race \
-			-run 'TestShardedMatchesSequential|TestShardedSnapshotsCanonical|TestEncodeConfigIgnoresShards|TestStepShardedMatchesStep|TestRefreshPositionsShardedMatchesSequential|TestSchedulerShardStress|TestWheelShardStress|TestShardPool|TestBandCoversRange|TestResolveShards|TestSchedulerBatch|TestXiEpochsMatchesXiAt|TestCoreBudget|TestCampaignBudgetMatchesSequential|TestRequestKeyIgnoresShards|TestShardOverrideBitIdenticalAndCached' \
+			-run 'TestShardedMatchesSequential|TestShardedSnapshotsCanonical|TestEncodeConfigIgnoresShards|TestStepShardedMatchesStep|TestRefreshPositionsShardedMatchesSequential|TestSchedulerShardStress|TestWheelShardStress|TestShardPool|TestBandCoversRange|TestResolveShards|TestCoreBudget|TestCampaignBudgetMatchesSequential|TestRequestKeyIgnoresShards|TestShardOverrideBitIdenticalAndCached' \
 			./internal/scenario/ ./internal/sim/ ./internal/mobility/ ./internal/radio/ \
-			./internal/routing/ ./internal/sweep/ ./internal/chaos/ ./internal/service/
+			./internal/sweep/ ./internal/chaos/ ./internal/service/
 
 # Regenerate every table/figure at reduced scale (~30 min on one core).
 figures:

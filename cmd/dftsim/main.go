@@ -74,18 +74,16 @@
 // pprof`.
 //
 // -shards N spreads the kernel's O(N) batch phases — mobility free flight,
-// spatial-index refresh, carrier-poll verdicts, batched idle-span plan
-// prep, scenario construction, and walker init — across N worker
+// spatial-index refresh and carrier-poll verdicts — across N worker
 // goroutines (PROTOCOL.md §15); 0 means one per CPU. Event dispatch stays
 // sequential, so the digest, any trace, and any snapshot are bit-identical
 // for every shard count; only wall time changes. The default of 1 runs the
 // sequential kernel untouched, and the knob is runtime-only: it applies
 // equally to -config and -restore runs and is never written by
-// -dumpconfig or into snapshots. Shard workers carry pprof labels
-// (shard=N, phase=mobility-step|index-refresh|carrier-poll|plan-prep|
-// construct|walker-init), so a -cpuprofile of a sharded run attributes
-// every parallel phase by shard and phase in `go tool pprof` (-tagfocus,
-// -taghide, or the labels view).
+// -dumpconfig or into snapshots. Shard workers carry a pprof label
+// (shard=N), so a -cpuprofile of a sharded run splits worker time by shard
+// in `go tool pprof` (-tagfocus, -taghide, or the labels view); each
+// phase's closure is its own frame in the profile.
 package main
 
 import (

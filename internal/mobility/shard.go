@@ -1,71 +1,6 @@
 package mobility
 
-import (
-	"fmt"
-	"math"
-
-	"dftmsn/internal/geo"
-	"dftmsn/internal/sim"
-	"dftmsn/internal/simrand"
-)
-
-// walkerDraws holds the five construction-time draws of one walker, in the
-// order NewZoneWalk consumes them from the mobility stream.
-type walkerDraws struct {
-	home   geo.ZoneID
-	px, py float64
-	theta  float64
-	speed  float64
-}
-
-// NewZoneWalkSharded is NewZoneWalk with the draw-free per-walker work
-// (heading trig and state assembly) fanned across the pool. The RNG draws
-// run first, sequentially in walker order with the exact interleaving the
-// sequential constructor uses — home zone, start position, heading, speed —
-// so the stream state afterwards and every walker's initial state are
-// bit-identical to NewZoneWalk's. A nil pool falls back to NewZoneWalk.
-func NewZoneWalkSharded(grid *geo.Grid, n int, cfg ZoneWalkConfig, rng *simrand.Source, pool *sim.ShardPool) (*ZoneWalk, error) {
-	if pool == nil {
-		return NewZoneWalk(grid, n, cfg, rng)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("mobility: negative node count %d", n)
-	}
-	w := &ZoneWalk{cfg: cfg, grid: grid, rng: rng, nodes: make([]walker, n)}
-	draws := make([]walkerDraws, n)
-	for i := range draws {
-		home := geo.ZoneID(rng.IntN(grid.NumZones()))
-		rect, err := grid.ZoneRect(home)
-		if err != nil {
-			return nil, fmt.Errorf("mobility: home zone: %w", err)
-		}
-		draws[i] = walkerDraws{
-			home:  home,
-			px:    rng.Uniform(rect.MinX, rect.MaxX),
-			py:    rng.Uniform(rect.MinY, rect.MaxY),
-			theta: rng.Uniform(0, 2*math.Pi),
-			speed: rng.Uniform(cfg.MinSpeed, cfg.MaxSpeed),
-		}
-	}
-	pool.RunPhase("walker-init", func(shard int) {
-		lo, hi := sim.Band(n, pool.Shards(), shard)
-		for i := lo; i < hi; i++ {
-			d := draws[i]
-			w.nodes[i] = walker{
-				pos:   geo.Point{X: d.px, Y: d.py},
-				home:  d.home,
-				zone:  d.home,
-				dirX:  math.Cos(d.theta),
-				dirY:  math.Sin(d.theta),
-				speed: d.speed,
-			}
-		}
-	})
-	return w, nil
-}
+import "dftmsn/internal/sim"
 
 // pending is StepSharded's per-walker scratch: where a walker's free flight
 // stopped, so the sequential drain can resolve its boundary draw and resume
@@ -95,7 +30,7 @@ func (w *ZoneWalk) StepSharded(dt float64, pool *sim.ShardPool) {
 	if len(w.pend) < len(w.nodes) {
 		w.pend = make([]pending, len(w.nodes))
 	}
-	pool.RunPhase("mobility-step", func(shard int) {
+	pool.Run(func(shard int) {
 		lo, hi := sim.Band(len(w.nodes), pool.Shards(), shard)
 		for i := lo; i < hi; i++ {
 			p := &w.pend[i]

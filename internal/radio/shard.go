@@ -20,7 +20,7 @@ func (m *Medium) RefreshPositionsSharded(pool *sim.ShardPool) {
 	if len(m.keyScratch) < len(m.radios) {
 		m.keyScratch = make([]int64, len(m.radios))
 	}
-	pool.RunPhase("index-refresh", func(shard int) {
+	pool.Run(func(shard int) {
 		lo, hi := sim.Band(len(m.radios), pool.Shards(), shard)
 		for i := lo; i < hi; i++ {
 			m.keyScratch[i] = m.index.cellKeyFor(m.radios[i].position())

@@ -42,6 +42,7 @@ func (s *Sim) CheckpointAt(k float64) (*snapshot.Snapshot, error) {
 	if err := s.ensureArmed(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	defer s.startPool()()
 	if err := s.stepUntilQuiescent(k); err != nil {
 		return nil, err
 	}

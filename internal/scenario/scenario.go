@@ -427,7 +427,8 @@ type Sim struct {
 	progressNext  time.Time
 
 	// Sharded batch-phase state (nil/empty when Config.Shards resolves to
-	// 1): the worker pool and the carrier-poll verdict scratch.
+	// 1): the worker pool, live only while Run or CheckpointAt steps the
+	// kernel (see startPool), and the carrier-poll verdict scratch.
 	pool     *sim.ShardPool
 	pollBusy []bool
 }
@@ -459,13 +460,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	if cfg.OnProgress != nil {
 		s.armProgress()
-	}
-	if n := sim.ResolveShards(cfg.Shards); n > 1 {
-		s.pool = sim.NewShardPool(n)
-		// Batch plan construction: when consecutive "idle-span" plan-end
-		// events head the queue, their nodes' σ epoch tables precompute in
-		// parallel before the sequential RNG-draw drain (see shard.go).
-		s.sched.SetBatchPrep("idle-span", s.prepIdleSpans, s.flushIdleSpanPrep)
 	}
 	root := simrand.New(cfg.Seed)
 
@@ -550,7 +544,7 @@ func New(cfg Config) (*Sim, error) {
 		// Walk indices NumSensors..NumSensors+NumSinks-1 carry the sinks.
 		walkers += cfg.NumSinks
 	}
-	s.walk, err = mobility.NewZoneWalkSharded(s.grid, walkers, mobCfg, root.Split("mobility"), s.pool)
+	s.walk, err = mobility.NewZoneWalk(s.grid, walkers, mobCfg, root.Split("mobility"))
 	if err != nil {
 		return nil, err
 	}
@@ -608,38 +602,25 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 
-	// Sensors (IDs NumSinks..NumSinks+NumSensors-1). The rng streams split
-	// sequentially in id order here — Split consumes a parent draw, so the
-	// split order is part of the seed's stream contract — then NewNodes
-	// fans the draw-free construction across the pool (sharded arm) or runs
-	// the classic sequential loop (control arm), bit-identically.
-	specs := make([]core.NodeSpec, cfg.NumSensors)
+	// Sensors (IDs NumSinks..NumSinks+NumSensors-1).
 	for i := 0; i < cfg.NumSensors; i++ {
 		id := packet.NodeID(cfg.NumSinks + i)
-		walkIdx := i
-		specs[i] = core.NodeSpec{
-			ID:     id,
-			Params: params,
-			NewStrategy: func() (routing.Strategy, error) {
-				return core.NewStrategyWithOverrides(cfg.Scheme, id, cfg.QueueCapacity, isSink,
-					core.StrategyOverrides{
-						DeliveryThreshold:   cfg.DeliveryThreshold,
-						DropThreshold:       cfg.DropThreshold,
-						SkipSenderFTDUpdate: cfg.InjectSkipSenderFTD,
-					})
-			},
-			Position: func() geo.Point { return s.walk.Position(walkIdx) },
-			Rng:      root.Split(fmt.Sprintf("sensor/%d", i)),
-			Rec:      s.rec,
+		strat, err := core.NewStrategyWithOverrides(cfg.Scheme, id, cfg.QueueCapacity, isSink,
+			core.StrategyOverrides{
+				DeliveryThreshold:   cfg.DeliveryThreshold,
+				DropThreshold:       cfg.DropThreshold,
+				SkipSenderFTDUpdate: cfg.InjectSkipSenderFTD,
+			})
+		if err != nil {
+			return nil, err
 		}
-	}
-	sensors, err := core.NewNodes(s.sched, s.medium, macCfg, profile, specs, s.pool)
-	if err != nil {
-		return nil, err
-	}
-	for _, node := range sensors {
-		id := node.ID()
-		strat := node.Strategy()
+		walkIdx := i
+		node, err := core.NewNode(id, s.sched, s.medium, macCfg, params,
+			strat, func() geo.Point { return s.walk.Position(walkIdx) }, profile,
+			root.Split(fmt.Sprintf("sensor/%d", i)), s.rec)
+		if err != nil {
+			return nil, err
+		}
 		node.Engine().SetRecorder(s.rec)
 		s.sensors = append(s.sensors, node)
 		if fad, ok := strat.(*routing.FAD); ok {
@@ -1027,15 +1008,7 @@ func (s *Sim) Run() (Result, error) {
 	if s.ran {
 		return Result{}, fmt.Errorf("scenario: simulation already ran")
 	}
-	if s.pool != nil {
-		// Release the shard workers when the one-shot run finishes; clearing
-		// the field makes any later batch phase fall back to the sequential
-		// path instead of touching a closed pool.
-		defer func() {
-			s.pool.Close()
-			s.pool = nil
-		}()
-	}
+	defer s.startPool()()
 	cancelled := false
 	if s.cfg.CheckpointEvery > 0 {
 		for k := s.cfg.CheckpointEvery; k < s.cfg.DurationSeconds; k += s.cfg.CheckpointEvery {

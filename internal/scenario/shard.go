@@ -59,7 +59,7 @@ func (s *Sim) pollCarriersSharded() {
 	if len(s.pollBusy) < total {
 		s.pollBusy = make([]bool, total)
 	}
-	s.pool.RunPhase("carrier-poll", func(shard int) {
+	s.pool.Run(func(shard int) {
 		lo, hi := sim.Band(total, s.pool.Shards(), shard)
 		for i := lo; i < hi; i++ {
 			s.pollBusy[i] = s.nodeAt(i).CarrierPending()
@@ -72,35 +72,19 @@ func (s *Sim) pollCarriersSharded() {
 	}
 }
 
-// prepIdleSpans is the scheduler's batch-prep hook for "idle-span" events
-// (armed in New when sharding is on): before a consecutive run of plan-end
-// events fires, each owning node precomputes its next plan's σ epoch table
-// read-only on a shard worker. The batch's nodes are distinct (one plan-end
-// event per node) and a plan-end callback mutates only its own node, so the
-// tables stay valid across the whole drain; the scheduler's interleave
-// guard flushes them (flushIdleSpanPrep) whenever a foreign event gets in
-// between.
-func (s *Sim) prepIdleSpans(evs []*sim.Event) {
-	if s.pool == nil {
-		return // drains compute inline; still bit-identical
+// startPool starts the shard workers for a stretch of kernel stepping and
+// returns the func that stops them, so callers write defer s.startPool()().
+// The workers live only while Run or CheckpointAt executes: a Sim that is
+// built (or restored) but never run, or whose construction fails, owns no
+// goroutines. Nested calls (Run's own checkpoints) reuse the outer pool.
+func (s *Sim) startPool() (stop func()) {
+	n := sim.ResolveShards(s.cfg.Shards)
+	if n <= 1 || s.pool != nil {
+		return func() {}
 	}
-	s.pool.RunPhase("plan-prep", func(shard int) {
-		lo, hi := sim.Band(len(evs), s.pool.Shards(), shard)
-		for i := lo; i < hi; i++ {
-			if n, ok := evs[i].Owner().(*core.Node); ok {
-				n.PrepIdleSpan(evs[i].At())
-			}
-		}
-	})
-}
-
-// flushIdleSpanPrep drops the prep scratch of plan-end events the scheduler
-// pushed back unfired: an interleaved foreign event (traffic, a frame, a
-// fault action) may invalidate any input their tables were computed from.
-func (s *Sim) flushIdleSpanPrep(evs []*sim.Event) {
-	for _, ev := range evs {
-		if n, ok := ev.Owner().(*core.Node); ok {
-			n.DropPrep()
-		}
+	s.pool = sim.NewShardPool(n)
+	return func() {
+		s.pool.Close()
+		s.pool = nil
 	}
 }

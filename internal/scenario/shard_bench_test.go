@@ -79,11 +79,10 @@ func BenchmarkRunSharded100k(b *testing.B)    { benchRunShard(b, 100000, 20, 8) 
 // benchRunShardLowDuty is the low-duty shard point: idleConfig's aggressive
 // sleep controller at the default 1 s mobility tick, traffic-free. Here the
 // mobility/index batch phases are cheap and the run's cost shifts to the
-// work phase 2 parallelized — construction (NewNode fan-out, walker init)
-// and the idle-span plan builders that fire in bursts at quiescent instants
-// — so this point prices exactly the serial residue the plan-prep and
-// construction sharding shaved. Construction is timed (New inside the timed
-// region, unlike benchRunShard): the construction fan-out is half the win.
+// sequential work — construction and the idle-span plan builders that fire
+// in bursts at quiescent instants — so this point prices the sharded
+// kernel where it has the least to parallelize. Construction is timed (New
+// inside the timed region, unlike benchRunShard).
 func benchRunShardLowDuty(b *testing.B, n int, seconds float64, shards int) {
 	if os.Getenv("DFTMSN_SHARD_BENCH") == "" {
 		b.Skip("set DFTMSN_SHARD_BENCH=1 (or use `make bench-shard`) to run the shard tier")

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"dftmsn/internal/snapshot"
 	"dftmsn/internal/telemetry"
@@ -115,5 +117,45 @@ func TestEncodeConfigIgnoresShards(t *testing.T) {
 	}
 	if !bytes.Equal(plain, sharded) {
 		t.Fatalf("EncodeConfig depends on Shards:\nshards=1: %s\nshards=8: %s", plain, sharded)
+	}
+}
+
+// TestShardPoolNoGoroutineLeak pins the shard pool's lifecycle: workers
+// exist only while Run or CheckpointAt steps the kernel. Sims that are
+// built and never run, and a Restore that fails after building its Sim,
+// must leave no worker goroutines behind, and a run must release its own.
+func TestShardPoolNoGoroutineLeak(t *testing.T) {
+	cfg := differentialConfigs()["opt-plain"]
+	cfg.Shards = 4
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.CheckpointAt(cfg.DurationSeconds / 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(snap, func(c *Config) {
+		c.Shards = 4
+		c.Telemetry = !c.Telemetry // mismatch: restoreFrom fails after New
+	}); err == nil {
+		t.Fatal("Restore with a mismatched telemetry setting succeeded")
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Closed workers exit asynchronously; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after building, checkpointing, restoring and running at Shards=4, want <= %d", n, base)
 	}
 }

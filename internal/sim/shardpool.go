@@ -13,12 +13,11 @@ import (
 // every event still fires on the goroutine that calls Scheduler.Run, in
 // global (time, seq) order — and the pool is only handed the draw-free,
 // provably independent inner loops of O(N) batch work (mobility free
-// flight, spatial-index cell-key computation, carrier-sense verdicts,
-// idle-span plan prep, node construction). Workers write into disjoint
-// per-shard scratch bands; the kernel goroutine then drains the scratch
-// sequentially in canonical order, so every RNG draw, scheduler operation,
-// and telemetry record happens on the kernel goroutine in exactly the
-// sequential kernel's order.
+// flight, spatial-index cell-key computation, carrier-sense verdicts).
+// Workers write into disjoint per-shard scratch bands; the kernel goroutine
+// then drains the scratch sequentially in canonical order, so every RNG
+// draw, scheduler operation, and telemetry record happens on the kernel
+// goroutine in exactly the sequential kernel's order.
 //
 // Ownership rule (pinned by TestSchedulerShardStress): the Scheduler,
 // Wheel, and pooled event free list belong to the kernel goroutine. Shard
@@ -26,16 +25,9 @@ import (
 // method — they compute, the kernel schedules.
 type ShardPool struct {
 	shards int
-	work   []chan shardJob
+	work   []chan func(int)
 	done   chan shardResult
 	closed bool
-}
-
-// shardJob is one Run/RunPhase invocation as delivered to a worker: the
-// shard function plus the pprof phase label to attribute its CPU time to.
-type shardJob struct {
-	fn    func(int)
-	phase string
 }
 
 // shardResult carries one worker's outcome for a Run call back to the
@@ -55,30 +47,20 @@ func NewShardPool(shards int) *ShardPool {
 	}
 	p := &ShardPool{shards: shards, done: make(chan shardResult, shards-1)}
 	for i := 1; i < shards; i++ {
-		ch := make(chan shardJob)
+		ch := make(chan func(int))
 		p.work = append(p.work, ch)
 		go p.worker(i, ch)
 	}
 	return p
 }
 
-func (p *ShardPool) worker(shard int, ch chan shardJob) {
-	// The shard label is permanent for the goroutine's lifetime; RunPhase
-	// jobs additionally carry a phase label for their duration, so a CPU
-	// profile attributes each parallel phase instead of lumping every
-	// worker sample under the generic worker loop.
-	base := pprof.WithLabels(context.Background(), pprof.Labels("shard", strconv.Itoa(shard)))
-	pprof.SetGoroutineLabels(base)
-	for job := range ch {
-		if job.phase == "" {
-			p.done <- runShard(job.fn, shard)
-			continue
-		}
-		var res shardResult
-		pprof.Do(base, pprof.Labels("phase", job.phase), func(context.Context) {
-			res = runShard(job.fn, shard)
-		})
-		p.done <- res
+func (p *ShardPool) worker(shard int, ch chan func(int)) {
+	// The shard label is set once for the goroutine's lifetime, so a CPU
+	// profile splits worker time by shard; each phase's closure is its own
+	// stack frame, which attributes the time to the phase.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("shard", strconv.Itoa(shard))))
+	for fn := range ch {
+		p.done <- runShard(fn, shard)
 	}
 }
 
@@ -106,32 +88,13 @@ func (p *ShardPool) Shards() int { return p.shards }
 // goroutine scheduling. Run on a closed pool panics deterministically
 // (without the flag it would silently run only shard 0).
 func (p *ShardPool) Run(fn func(shard int)) {
-	p.run(shardJob{fn: fn})
-}
-
-// RunPhase is Run with a pprof phase label attached to every shard for the
-// duration of the call (shard 0's caller labels are restored afterwards),
-// so CPU profiles split worker time by batch phase. An empty phase is
-// exactly Run — no labeling cost on unlabeled call sites.
-func (p *ShardPool) RunPhase(phase string, fn func(shard int)) {
-	p.run(shardJob{fn: fn, phase: phase})
-}
-
-func (p *ShardPool) run(job shardJob) {
 	if p.closed {
 		panic("sim: ShardPool.Run after Close")
 	}
 	for _, ch := range p.work {
-		ch <- job
+		ch <- fn
 	}
-	var first shardResult
-	if job.phase == "" {
-		first = runShard(job.fn, 0)
-	} else {
-		pprof.Do(context.Background(), pprof.Labels("shard", "0", "phase", job.phase), func(context.Context) {
-			first = runShard(job.fn, 0)
-		})
-	}
+	first := runShard(fn, 0)
 	for range p.work {
 		if r := <-p.done; !r.ok && (first.ok || r.shard < first.shard) {
 			first = r

@@ -184,44 +184,6 @@ func TestShardPoolRunAfterClosePanics(t *testing.T) {
 	if got != want {
 		t.Fatalf("Run after Close panicked with %v, want %q", got, want)
 	}
-	// RunPhase shares the guard.
-	got = func() (v any) {
-		defer func() { v = recover() }()
-		pool.RunPhase("p", func(int) {})
-		return nil
-	}()
-	if got != want {
-		t.Fatalf("RunPhase after Close panicked with %v, want %q", got, want)
-	}
-}
-
-// TestShardPoolRunPhase pins that the pprof-labeled variant still runs every
-// shard exactly once per call, on panic paths included.
-func TestShardPoolRunPhase(t *testing.T) {
-	const shards = 4
-	pool := NewShardPool(shards)
-	defer pool.Close()
-	hits := make([]int, shards)
-	for round := 0; round < 50; round++ {
-		pool.RunPhase("test-phase", func(shard int) { hits[shard]++ })
-	}
-	for shard, n := range hits {
-		if n != 50 {
-			t.Fatalf("shard %d ran %d times, want 50", shard, n)
-		}
-	}
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		pool.RunPhase("test-phase", func(shard int) {
-			if shard == 2 {
-				panic("labeled boom")
-			}
-		})
-		return nil
-	}()
-	if got != "labeled boom" {
-		t.Fatalf("RunPhase panicked with %v, want labeled boom", got)
-	}
 }
 
 // TestSchedulerShardStress pins the ownership rule the sharded kernel relies

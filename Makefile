@@ -141,9 +141,12 @@ CHAOS_RUNS ?= 200
 chaos:
 	$(GO) run ./cmd/dftchaos -runs $(CHAOS_RUNS)
 
+# Every fuzz target, 30 s each.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/packet/
 	$(GO) test -fuzz=FuzzStreamReader -fuzztime=30s ./internal/packet/
+	$(GO) test -fuzz=FuzzLazyDecayParity -fuzztime=30s ./internal/routing/
+	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=30s ./internal/scenario/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=30s ./internal/service/
 	$(GO) test -fuzz=FuzzSSEDecode -fuzztime=30s ./internal/telemetry/
@@ -152,13 +155,14 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzStreamReader -fuzztime=10s ./internal/packet/
+	$(GO) test -fuzz=FuzzLazyDecayParity -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s ./internal/service/
 	$(GO) test -fuzz=FuzzSSEDecode -fuzztime=10s ./internal/telemetry/
 
 # The snapshot/fork/restore differential gate under the race detector: all
-# three arms bit-identical on Result and telemetry across the 10-config
+# three arms bit-identical on Result and telemetry across the 11-config
 # matrix, plus the RNG rewind edge cases.
 snapshot-diff:
 	$(GO) test -race -run 'TestSnapshotDifferential|TestPeriodicCheckpointsDontPerturb|TestRestoreForPlanMatchesScratch|TestCheckpoint' ./internal/scenario/

@@ -28,7 +28,7 @@ func TestRunCatchesMutation(t *testing.T) {
 		t.Fatalf("mutated build passed the campaign:\n%s", sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"FAIL", "ftd-sender", "minimized", "reproduce with", "-inject-skip-sender-ftd"} {
+	for _, want := range []string{"FAIL", "ftd-sender", "minimized", "reproduce with", `"inject_skip_sender_ftd":true`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

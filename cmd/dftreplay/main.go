@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func doRecord(path, schemeName string, sensors, sinks int, duration float64, seed uint64, stderr io.Writer) (err error) {
-	scheme, err := parseScheme(schemeName)
+	scheme, err := dftmsn.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
@@ -177,8 +177,4 @@ func describe(f packet.Frame) string {
 	default:
 		return ""
 	}
-}
-
-func parseScheme(name string) (dftmsn.Scheme, error) {
-	return dftmsn.ParseScheme(name)
 }

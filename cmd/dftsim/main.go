@@ -16,7 +16,7 @@
 //	dftsim -config scenario.json [-dumpconfig]
 //
 // The defaults reproduce the paper's §5 setup; -config loads a JSON
-// scenario (see internal/scenario/configio.go for the schema), -map
+// scenario (its schema is scenario.Config's JSON field tags), -map
 // renders the final node positions as ASCII, and -dumpconfig prints the
 // effective configuration without simulating.
 //
@@ -200,7 +200,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		scheme, err := parseScheme(*schemeName)
+		scheme, err := dftmsn.ParseScheme(*schemeName)
 		if err != nil {
 			return err
 		}
@@ -584,8 +584,4 @@ func renderMap(sim *dftmsn.Sim, cfg dftmsn.Config) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func parseScheme(name string) (dftmsn.Scheme, error) {
-	return dftmsn.ParseScheme(name)
 }

@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *readPath != "" {
 		return summarizeFile(*readPath, stdout)
 	}
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := dftmsn.ParseScheme(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -157,8 +157,4 @@ func summarizeFile(path string, out io.Writer) error {
 	fmt.Fprintf(out, "messages: %d tracked, %d delivered, %d dropped, %d rejected, %d in-flight\n",
 		ledger.Len(), status["delivered"], status["dropped"], status["rejected"], status["in-flight"])
 	return nil
-}
-
-func parseScheme(name string) (dftmsn.Scheme, error) {
-	return dftmsn.ParseScheme(name)
 }

@@ -104,14 +104,18 @@ func New(cfg Config) (*Sim, error) { return scenario.New(cfg) }
 
 // ParseScheme resolves a scheme by its paper name, case-insensitively
 // ("OPT", "noopt", "ZBR", ...).
-func ParseScheme(name string) (Scheme, error) { return scenario.ParseScheme(name) }
+func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
-// LoadConfig reads a JSON scenario configuration; omitted fields take the
-// paper defaults for the named scheme. See internal/scenario/configio.go
-// for the schema.
+// LoadConfig reads a JSON scenario configuration. The "scheme" key is
+// required; absent keys take the paper defaults, and explicit values stick,
+// zeros included ("exit_prob": 0 loads as 0). The schema is Config's own
+// JSON keys (see the field tags in internal/scenario).
 func LoadConfig(r io.Reader) (Config, error) { return scenario.LoadConfig(r) }
 
-// SaveConfig writes cfg's serialisable subset as indented JSON.
+// SaveConfig writes cfg's serialisable fields as indented JSON — every
+// field but the runtime attachments (tracers, recorders, frame capture,
+// cancellation, progress, shards), telemetry_sample_s included — so
+// LoadConfig reads back an identical Config.
 func SaveConfig(w io.Writer, cfg Config) error { return scenario.SaveConfig(w, cfg) }
 
 // Fault-injection re-exports: a FaultPlan on Config.Faults schedules node

@@ -4,7 +4,7 @@
 // armed, asserts resilience lower bounds on every run, and shrinks any
 // failing run to a minimal reproducer — the smallest fault-clause subset
 // that still fails under the same seed — printed as a ready-to-run dftsim
-// command.
+// command that feeds the failing run's canonical config on stdin.
 //
 // The campaign executes on the same bounded worker pool as the sweep
 // harness (sweep.Parallel). Every run is derived deterministically from
@@ -14,6 +14,7 @@ package chaos
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -364,15 +365,8 @@ func (c Campaign) runOnce(seed uint64, plan faults.Plan, cancel func() bool) (re
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	cfg := c.Base
-	cfg.Seed = seed
+	cfg := c.runConfig(seed, plan)
 	cfg.Cancel = cancel
-	if plan.Enabled() {
-		p := plan
-		cfg.Faults = &p
-	} else {
-		cfg.Faults = nil
-	}
 	if c.Budget != nil {
 		shards := c.Budget.Acquire(0)
 		defer c.Budget.Release(shards)
@@ -385,23 +379,46 @@ func (c Campaign) runOnce(seed uint64, plan faults.Plan, cancel func() bool) (re
 	return s.Run()
 }
 
-// stateHeader is the campaign fingerprint leading the state file; a resume
-// against a file from a different campaign is rejected.
-type stateHeader struct {
-	Seed     uint64  `json:"campaign_seed"`
-	Runs     int     `json:"runs"`
-	Scheme   string  `json:"scheme"`
-	Sensors  int     `json:"sensors"`
-	Sinks    int     `json:"sinks"`
-	Duration float64 `json:"duration_s"`
+// runConfig is the scenario one campaign run simulates: the base config
+// under the run's seed and fault plan. Both runOnce and the reproducer
+// command derive from it, so a reproducer replays exactly what ran.
+func (c Campaign) runConfig(seed uint64, plan faults.Plan) scenario.Config {
+	cfg := c.Base
+	cfg.Seed = seed
+	cfg.Faults = nil
+	if plan.Enabled() {
+		p := plan
+		cfg.Faults = &p
+	}
+	return cfg
 }
 
-func (c Campaign) header() stateHeader {
-	return stateHeader{
-		Seed: c.Seed, Runs: c.Runs, Scheme: c.Base.Scheme.String(),
-		Sensors: c.Base.NumSensors, Sinks: c.Base.NumSinks,
-		Duration: c.Base.DurationSeconds,
+// compactConfig is cfg's canonical encoding on one line.
+func compactConfig(cfg scenario.Config) ([]byte, error) {
+	blob, err := scenario.EncodeConfig(cfg)
+	if err != nil {
+		return nil, err
 	}
+	var b bytes.Buffer
+	err = json.Compact(&b, blob)
+	return b.Bytes(), err
+}
+
+// stateHeader is the campaign fingerprint leading the state file: the
+// campaign seed and size plus the base config's canonical encoding, so a
+// resume against a file from a different campaign is rejected.
+type stateHeader struct {
+	Seed   uint64          `json:"campaign_seed"`
+	Runs   int             `json:"runs"`
+	Config json.RawMessage `json:"config"`
+}
+
+func (c Campaign) header() (stateHeader, error) {
+	blob, err := compactConfig(c.Base)
+	if err != nil {
+		return stateHeader{}, fmt.Errorf("chaos: %w", err)
+	}
+	return stateHeader{Seed: c.Seed, Runs: c.Runs, Config: blob}, nil
 }
 
 // runRecord is one persisted run outcome (a JSON line after the header).
@@ -434,8 +451,13 @@ func (c Campaign) loadState(outcomes []outcome) (found bool, err error) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return false, fmt.Errorf("chaos: state file %s: %w", c.StateFile, err)
 	}
-	if hdr != c.header() {
-		return false, fmt.Errorf("chaos: state file %s belongs to a different campaign: %+v", c.StateFile, hdr)
+	want, err := c.header()
+	if err != nil {
+		return false, err
+	}
+	if hdr.Seed != want.Seed || hdr.Runs != want.Runs || !bytes.Equal(hdr.Config, want.Config) {
+		return false, fmt.Errorf("chaos: state file %s belongs to a different campaign: seed %d, %d runs, config %s",
+			c.StateFile, hdr.Seed, hdr.Runs, hdr.Config)
 	}
 	line := 1
 	for sc.Scan() {
@@ -484,12 +506,16 @@ func (c Campaign) openState(appendExisting bool) (*stateWriter, error) {
 		}
 		return &stateWriter{f: f, enc: json.NewEncoder(f)}, nil
 	}
+	hdr, err := c.header()
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.Create(c.StateFile)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	w := &stateWriter{f: f, enc: json.NewEncoder(f)}
-	if err := w.enc.Encode(c.header()); err != nil {
+	if err := w.enc.Encode(hdr); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
@@ -761,39 +787,17 @@ func (c Campaign) runCandidate(seed uint64, plan faults.Plan, warm *warmShrinkSt
 }
 
 // command renders a ready-to-run dftsim invocation reproducing a failing
-// run: the flag-expressible base scenario plus the (minimized) fault plan.
+// run: the run's compact canonical config fed to -config on stdin, with
+// telemetry armed so the replayed failure comes back with its metrics
+// report. No config string can hold a single quote (scheme and invariant
+// mode names only), so the shell quoting is safe.
 func (c Campaign) command(seed uint64, p faults.Plan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/dftsim -scheme %s -sensors %d -sinks %d -duration %g -arrival %g -speed %g -queue %d -seed %d -invariants %s",
-		c.Base.Scheme, c.Base.NumSensors, c.Base.NumSinks, c.Base.DurationSeconds,
-		c.Base.ArrivalMeanSeconds, c.Base.MaxSpeed, c.Base.QueueCapacity, seed, c.Base.Invariants)
-	if c.Base.InjectSkipSenderFTD {
-		b.WriteString(" -inject-skip-sender-ftd")
+	blob, err := compactConfig(c.runConfig(seed, p))
+	if err != nil {
+		// Only a base config every run already failed on lands here.
+		return fmt.Sprintf("no reproducer: %v", err)
 	}
-	if ch := p.Churn; ch != nil {
-		fmt.Fprintf(&b, " -churn-mtbf %g -churn-mttr %g", ch.MTBFSeconds, ch.MTTRSeconds)
-		if ch.Fraction != 0 {
-			fmt.Fprintf(&b, " -churn-fraction %g", ch.Fraction)
-		}
-		if ch.StartSeconds != 0 {
-			fmt.Fprintf(&b, " -churn-start %g", ch.StartSeconds)
-		}
-	}
-	for _, o := range p.SinkOutages {
-		fmt.Fprintf(&b, " -outage-start %g -outage-duration %g -outage-sink %d",
-			o.StartSeconds, o.DurationSeconds, o.Sink)
-	}
-	if bu := p.Burst; bu != nil {
-		fmt.Fprintf(&b, " -burst-bad-loss %g -burst-good-loss %g -burst-good-s %g -burst-bad-s %g",
-			bu.BadLossProb, bu.GoodLossProb, bu.MeanGoodSeconds, bu.MeanBadSeconds)
-	}
-	for _, k := range p.Kills {
-		fmt.Fprintf(&b, " -kill-at %g -kill-fraction %g", k.AtSeconds, k.Fraction)
-	}
-	// Arm the telemetry layer so the replayed failure comes back with its
-	// metrics report and typed event stream for post-mortem analysis.
-	b.WriteString(" -telemetry")
-	return b.String()
+	return "echo '" + string(blob) + "' | go run ./cmd/dftsim -config /dev/stdin -telemetry"
 }
 
 // RandomPlan draws one randomized fault plan for a run of the given

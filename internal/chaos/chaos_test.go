@@ -137,21 +137,62 @@ func TestBrokenBuildIsCaughtAndMinimized(t *testing.T) {
 	if m.Clauses > 2 {
 		t.Errorf("minimized reproducer has %d fault clauses, want <= 2:\n%+v", m.Clauses, m.Minimized)
 	}
-	for _, want := range []string{"dftsim", "-seed", "-invariants", "-inject-skip-sender-ftd", "-telemetry"} {
-		if !strings.Contains(m.Command, want) {
-			t.Errorf("reproducer command missing %q: %s", want, m.Command)
-		}
-	}
-	// The command must replay the failure: rerun the minimized plan under
-	// the recorded seed and expect the same verdict. (withDefaults arms
-	// the invariant engine the same way Run does.)
+	// The command must carry the failing run's exact config and replay the
+	// failure: simulate the config it feeds dftsim and expect the same
+	// verdict. (withDefaults arms the invariant engine the same way Run
+	// does.)
 	c = c.withDefaults()
-	res, err := c.runOnce(m.Seed, m.Minimized, nil)
+	cfg := commandConfig(t, m.Command)
+	if want := c.runConfig(m.Seed, m.Minimized); !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("reproducer config differs from the minimized run's:\ngot:  %+v\nwant: %+v", cfg, want)
+	}
+	s, err := scenario.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind, _, failed := c.judge(res, nil, m.Minimized); !failed || kind != "invariant" {
 		t.Errorf("minimized reproducer does not reproduce (failed=%v kind=%q)", failed, kind)
+	}
+}
+
+// commandConfig decodes the config a reproducer command feeds dftsim.
+func commandConfig(t *testing.T, cmd string) scenario.Config {
+	t.Helper()
+	const prefix, suffix = "echo '", "' | go run ./cmd/dftsim -config /dev/stdin -telemetry"
+	doc, hasPrefix := strings.CutPrefix(cmd, prefix)
+	doc, hasSuffix := strings.CutSuffix(doc, suffix)
+	if !hasPrefix || !hasSuffix || strings.Contains(doc, "\n") {
+		t.Fatalf("reproducer is not a one-line config piped into dftsim: %s", cmd)
+	}
+	cfg, err := scenario.DecodeConfig([]byte(doc))
+	if err != nil {
+		t.Fatalf("reproducer config does not load: %v\n%s", err, cmd)
+	}
+	return cfg
+}
+
+// TestCommandIsRunConfig pins the reproducer to the run it reproduces:
+// the config it pipes into dftsim decodes to exactly runConfig, including
+// base fields no dftsim flag expresses (loss probability) and fault-plan
+// fields no fault flag expresses (churn's preserve_buffer/preserve_xi).
+func TestCommandIsRunConfig(t *testing.T) {
+	base := smallBase()
+	base.LossProb = 0.05
+	c := Campaign{Base: base}.withDefaults()
+	plan := faults.Plan{
+		Churn:       &faults.Churn{MTBFSeconds: 200, MTTRSeconds: 50, Fraction: 0.4, PreserveBuffer: true, PreserveXi: true},
+		SinkOutages: []faults.Outage{{Sink: 1, StartSeconds: 100, DurationSeconds: 30}},
+		Kills:       []faults.Kill{{AtSeconds: 300, Fraction: 0.1}},
+	}
+	for _, p := range []faults.Plan{plan, {}} {
+		want := c.runConfig(77, p)
+		if got := commandConfig(t, c.command(77, p)); !reflect.DeepEqual(got, want) {
+			t.Errorf("reproducer config differs from the run's:\ngot:  %+v\nwant: %+v", got, want)
+		}
 	}
 }
 
@@ -338,11 +379,20 @@ func TestCampaignStateResume(t *testing.T) {
 		t.Fatalf("fully resumed campaign appended %d bytes — it re-ran recorded work", len(after)-len(before))
 	}
 
-	// A state file from a different campaign must be rejected.
-	other := c
-	other.Seed = 999
-	if _, err := other.Run(); err == nil {
-		t.Fatal("foreign state file accepted")
+	// A state file from a different campaign must be rejected: another
+	// campaign seed, or a base differing in any field that shapes the
+	// runs, not just scheme, size or horizon.
+	for name, edit := range map[string]func(*Campaign){
+		"seed":    func(o *Campaign) { o.Seed = 999 },
+		"arrival": func(o *Campaign) { o.Base.ArrivalMeanSeconds = 55 },
+		"loss":    func(o *Campaign) { o.Base.LossProb = 0.1 },
+		"exit":    func(o *Campaign) { o.Base.ExitProb = 0 },
+	} {
+		other := c
+		edit(&other)
+		if _, err := other.Run(); err == nil || !strings.Contains(err.Error(), "different campaign") {
+			t.Errorf("%s: foreign state file accepted (err %v)", name, err)
+		}
 	}
 }
 

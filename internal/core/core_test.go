@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"dftmsn/internal/energy"
@@ -38,6 +39,54 @@ func TestSchemeString(t *testing.T) {
 	}
 	if len(Schemes()) != 4 || len(AllSchemes()) != 6 {
 		t.Errorf("scheme lists: %d paper, %d all", len(Schemes()), len(AllSchemes()))
+	}
+}
+
+func TestParseScheme(t *testing.T) {
+	cases := map[string]Scheme{
+		"OPT":      SchemeOPT,
+		"opt":      SchemeOPT,
+		"NoSleep":  SchemeNOSLEEP,
+		"NOOPT":    SchemeNOOPT,
+		"zbr":      SchemeZBR,
+		"direct":   SchemeDirect,
+		"EPIDEMIC": SchemeEpidemic,
+	}
+	for in, want := range cases {
+		got, err := ParseScheme(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "SCHEME(0)"} {
+		if _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
+		}
+	}
+
+	// JSON carries a scheme by its paper name and parses it back the same
+	// way ParseScheme does; invalid schemes refuse to encode.
+	for _, s := range AllSchemes() {
+		blob, err := json.Marshal(s)
+		if err != nil || string(blob) != `"`+s.String()+`"` {
+			t.Errorf("json.Marshal(%v) = %s, %v", s, blob, err)
+		}
+		var back Scheme
+		if err := json.Unmarshal(blob, &back); err != nil || back != s {
+			t.Errorf("json round trip of %v = %v, %v", s, back, err)
+		}
+	}
+	var s Scheme
+	if err := json.Unmarshal([]byte(`"nosleep"`), &s); err != nil || s != SchemeNOSLEEP {
+		t.Errorf(`json "nosleep" = %v, %v`, s, err)
+	}
+	for _, doc := range []string{`"warp"`, `3`} {
+		if err := json.Unmarshal([]byte(doc), &s); err == nil {
+			t.Errorf("json %s accepted as a scheme", doc)
+		}
+	}
+	if _, err := json.Marshal(Scheme(0)); err == nil {
+		t.Error("invalid scheme encoded")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"dftmsn/internal/optimize"
 	"dftmsn/internal/packet"
@@ -61,6 +62,35 @@ func AllSchemes() []Scheme {
 
 // Valid reports whether s is a known scheme.
 func (s Scheme) Valid() bool { return s >= SchemeOPT && s <= SchemeEpidemic }
+
+// ParseScheme resolves a scheme by its paper name, case-insensitively.
+func ParseScheme(name string) (Scheme, error) {
+	for _, s := range AllSchemes() {
+		if strings.EqualFold(s.String(), name) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown scheme %q", name)
+}
+
+// MarshalText encodes a valid scheme as its paper name, the form JSON
+// configs carry.
+func (s Scheme) MarshalText() ([]byte, error) {
+	if !s.Valid() {
+		return nil, fmt.Errorf("core: invalid scheme %d", int(s))
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText parses a paper name as ParseScheme does.
+func (s *Scheme) UnmarshalText(text []byte) error {
+	v, err := ParseScheme(string(text))
+	if err != nil {
+		return err
+	}
+	*s = v
+	return nil
+}
 
 // DefaultSleepConfig returns the §4.1 controller settings used throughout
 // the reproduction: S = 5 cycle history, sleep after L = 3 idle cycles,

@@ -32,122 +32,133 @@ import (
 
 // Config describes one simulation run. DefaultConfig returns the paper's
 // defaults; zero values are rejected by Validate, not defaulted silently.
+//
+// Config is its own JSON schema (LoadConfig, SaveConfig): each serialised
+// field carries its key, and the fields tagged `json:"-"` are runtime-only
+// attachments that never reach the encoding, so they can never change a
+// cache key or a snapshot. Fields whose DefaultConfig value is non-zero are
+// always written; the rest are omitted at zero, which loses nothing since
+// decoding starts from DefaultConfig. Field order is key order, and the
+// canonical bytes are load-bearing (snapshots embed them, cache keys hash
+// them): a new serialised field needs a zero default and omitempty, or
+// every existing encoding changes.
 type Config struct {
 	// Scheme selects the protocol variant.
-	Scheme core.Scheme
+	Scheme core.Scheme `json:"scheme"`
 	// NumSensors is the wearable sensor count (paper: 100).
-	NumSensors int
+	NumSensors int `json:"sensors"`
 	// NumSinks is the sink count (paper default: 3).
-	NumSinks int
+	NumSinks int `json:"sinks"`
 	// FieldSize is the square field edge in metres (paper: 150).
-	FieldSize float64
+	FieldSize float64 `json:"field_size_m"`
 	// ZonesPerSide partitions the field (paper: 5, i.e. 25 zones).
-	ZonesPerSide int
+	ZonesPerSide int `json:"zones_per_side"`
 	// MaxSpeed is the sensor speed bound in m/s (paper: 5).
-	MaxSpeed float64
+	MaxSpeed float64 `json:"max_speed_mps"`
 	// ExitProb is the zone-exit probability (paper: 0.2).
-	ExitProb float64
+	ExitProb float64 `json:"exit_prob"`
 	// RangeM is the radio range in metres (paper: 10).
-	RangeM float64
+	RangeM float64 `json:"range_m"`
 	// BitrateBps is the channel rate (paper: 10 kbps).
-	BitrateBps float64
+	BitrateBps float64 `json:"bitrate_bps"`
 	// ControlBits and DataBits are the frame sizes (paper: 50 / 1000).
-	ControlBits int
-	DataBits    int
+	ControlBits int `json:"control_bits"`
+	DataBits    int `json:"data_bits"`
 	// QueueCapacity is the sensor buffer in messages (paper: 200).
-	QueueCapacity int
+	QueueCapacity int `json:"queue_capacity"`
 	// ArrivalMeanSeconds is the Poisson data inter-arrival mean (paper:
 	// 120 s).
-	ArrivalMeanSeconds float64
+	ArrivalMeanSeconds float64 `json:"arrival_mean_s"`
 	// DurationSeconds is the simulated time (paper: 25 000 s).
-	DurationSeconds float64
+	DurationSeconds float64 `json:"duration_s"`
 	// TrafficStopSeconds optionally stops message generation before the
 	// horizon so in-flight messages can drain (0 = generate throughout,
 	// the paper's setting).
-	TrafficStopSeconds float64
+	TrafficStopSeconds float64 `json:"traffic_stop_s,omitempty"`
 	// MobilityTickSeconds is the position-update granularity.
-	MobilityTickSeconds float64
+	MobilityTickSeconds float64 `json:"mobility_tick_s"`
 	// BatteryJoules bounds each sensor's energy; a sensor dies (radio
 	// permanently off) once its radio has consumed this much. Zero means
 	// unlimited, the paper's setting. Sinks are mains/high-end powered
 	// and never bounded.
-	BatteryJoules float64
+	BatteryJoules float64 `json:"battery_j,omitempty"`
 	// MobileSinks makes the sinks move under the same zone-based model as
 	// the sensors, modelling the paper's alternative deployment where
 	// high-end nodes are "carried by a subset of people" instead of
 	// standing at strategic locations.
-	MobileSinks bool
+	MobileSinks bool `json:"mobile_sinks,omitempty"`
 	// LossProb corrupts each reception independently with this
 	// probability (fading/interference beyond collisions). Zero disables.
-	LossProb float64
+	LossProb float64 `json:"loss_prob,omitempty"`
 	// FailFraction kills this share of sensors at FailAtSeconds (their
 	// queues die with them) — the fault the paper's redundancy tolerates.
 	// Zero disables.
-	FailFraction float64
+	FailFraction float64 `json:"fail_fraction,omitempty"`
 	// FailAtSeconds is when the failure burst strikes.
-	FailAtSeconds float64
+	FailAtSeconds float64 `json:"fail_at_s,omitempty"`
 	// Faults optionally injects richer faults: node churn, sink outages,
 	// Gilbert–Elliott burst loss, and additional kill bursts (see
 	// internal/faults). The legacy FailFraction/FailAtSeconds pair is
 	// folded into the plan as a one-shot kill, so the two compose.
-	Faults *faults.Plan
+	Faults *faults.Plan `json:"faults,omitempty"`
 	// Seed makes the run reproducible.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// LinearMedium runs the radio medium with its O(N) linear scans
 	// instead of the uniform-grid spatial index. The two are verified
 	// equivalent (bit-identical results); this is the control arm for the
 	// differential test and the scale benchmarks. Leave it false.
-	LinearMedium bool
+	LinearMedium bool `json:"linear_medium,omitempty"`
 	// EagerDecay runs the nodes with per-node decay tickers and per-cycle
 	// MAC events instead of the event-elision engine (lazy closed-form ξ
 	// decay, coalesced idle spans, batched mobility ticks). The two are
 	// verified equivalent (bit-identical results and telemetry); this is
 	// the control arm for the differential tests and the scale benchmarks.
 	// Leave it false.
-	EagerDecay bool
-	// Tracer optionally records events in the legacy TSV format (nil = no
-	// tracing). It is served through the trace-v2 layer by a byte-compatible
-	// adapter, so old tooling keeps working unchanged.
-	Tracer trace.Tracer
-	// Recorder optionally receives the run's typed trace-v2 events (nil =
-	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
-	// telemetry.Buffer for in-memory analysis, or any custom Recorder;
-	// compose several with telemetry.Combine.
-	Recorder telemetry.Recorder
-	// Telemetry arms the per-run metrics registry (counters, the §5
-	// distributional histograms) and the periodic time-series sampler; the
-	// report lands in Result.Telemetry.
-	Telemetry bool
-	// TelemetrySampleSeconds is the sampler interval in virtual seconds
-	// (0 = DurationSeconds/100).
-	TelemetrySampleSeconds float64
-	// FrameCapture optionally receives every transmitted frame in the
-	// packet capture format (see packet.CaptureWriter); nil disables.
-	FrameCapture io.Writer
-	// Params optionally overrides the scheme's node parameters; nil uses
-	// core.DefaultParams(Scheme).
-	Params *core.Params
+	EagerDecay bool `json:"eager_decay,omitempty"`
 	// DeliveryThreshold overrides R of §3.2.2 for the FAD-family schemes
 	// (0 keeps the default 0.9).
-	DeliveryThreshold float64
+	DeliveryThreshold float64 `json:"delivery_threshold,omitempty"`
 	// DropThreshold overrides the §3.1.2 FTD drop bound (0 keeps 0.95).
-	DropThreshold float64
+	DropThreshold float64 `json:"drop_threshold,omitempty"`
 	// Invariants arms the runtime protocol-invariant engine
 	// (internal/invariants): "" or "off" disables it, "report" records
 	// breaches into the metrics, "panic" panics at the first breach with
 	// the offending event's virtual-time context.
-	Invariants string
+	Invariants string `json:"invariants,omitempty"`
 	// InjectSkipSenderFTD deliberately breaks the Eq. 3 sender-FTD update
 	// in the FAD-family schemes — a known-bad build for validating that the
 	// invariant engine and the chaos harness actually catch protocol rot.
 	// Never enable it in a real experiment.
-	InjectSkipSenderFTD bool
+	InjectSkipSenderFTD bool `json:"inject_skip_sender_ftd,omitempty"`
+	// Telemetry arms the per-run metrics registry (counters, the §5
+	// distributional histograms) and the periodic time-series sampler; the
+	// report lands in Result.Telemetry.
+	Telemetry bool `json:"telemetry,omitempty"`
+	// TelemetrySampleSeconds is the sampler interval in virtual seconds
+	// (0 = DurationSeconds/100).
+	TelemetrySampleSeconds float64 `json:"telemetry_sample_s,omitempty"`
+	// Params optionally overrides the scheme's node parameters; nil uses
+	// core.DefaultParams(Scheme).
+	Params *core.Params `json:"params,omitempty"`
 	// CheckpointEvery takes a full-state snapshot at (approximately) this
 	// virtual-time period; the snapshots land in Result.Checkpoints. Each
 	// checkpoint is taken at the first quiescent instant at or after its
 	// grid point, so the continued run is bit-identical to an
 	// uncheckpointed one. Zero disables.
-	CheckpointEvery float64
+	CheckpointEvery float64 `json:"checkpoint_every_s,omitempty"`
+
+	// Tracer optionally records events in the legacy TSV format (nil = no
+	// tracing). It is served through the trace-v2 layer by a byte-compatible
+	// adapter, so old tooling keeps working unchanged.
+	Tracer trace.Tracer `json:"-"`
+	// Recorder optionally receives the run's typed trace-v2 events (nil =
+	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
+	// telemetry.Buffer for in-memory analysis, or any custom Recorder;
+	// compose several with telemetry.Combine.
+	Recorder telemetry.Recorder `json:"-"`
+	// FrameCapture optionally receives every transmitted frame in the
+	// packet capture format (see packet.CaptureWriter); nil disables.
+	FrameCapture io.Writer `json:"-"`
 	// Cancel optionally installs a cooperative cancellation probe on the
 	// kernel (see sim.SetCancel): consulted between events, and when it
 	// returns true the run stops with an error wrapping sim.ErrCancelled
@@ -155,24 +166,20 @@ type Config struct {
 	// cancellation lands strictly at event boundaries, the cancelled run's
 	// fired events — and therefore its RNG draws, metrics, and telemetry
 	// stream — are bit-identical to the same-length prefix of an
-	// uncancelled run. Runtime-only, like Recorder: excluded from the
-	// config encoding, so arming a deadline never changes a cache key or a
-	// snapshot. Typical probes are wall-clock deadlines (WallClockDeadline).
-	Cancel func() bool
+	// uncancelled run. Typical probes are wall-clock deadlines
+	// (WallClockDeadline).
+	Cancel func() bool `json:"-"`
 	// OnProgress optionally receives live Progress snapshots while the run
 	// executes, sampled on the kernel's CancelStride probe and throttled to
 	// ProgressEvery of wall clock, plus one final snapshot (Done=true) when
 	// Run finishes or is cancelled. The callback runs on the simulation
 	// goroutine between events and must only observe — it sees a value, not
-	// shared state, so storing it elsewhere is safe. Runtime-only, like
-	// Cancel and Recorder: excluded from the config encoding, so arming
-	// progress reporting never changes a cache key or a snapshot, and the
-	// run's Results and telemetry bytes are bit-identical to an unobserved
-	// run's.
-	OnProgress func(Progress)
+	// shared state, so storing it elsewhere is safe. The run's Results and
+	// telemetry bytes are bit-identical to an unobserved run's.
+	OnProgress func(Progress) `json:"-"`
 	// ProgressEvery is the minimum wall-clock interval between OnProgress
-	// calls (0 = 1s). Runtime-only.
-	ProgressEvery time.Duration
+	// calls (0 = 1s).
+	ProgressEvery time.Duration `json:"-"`
 	// Shards spreads the kernel's O(N) batch phases — mobility free flight,
 	// spatial-index refresh, carrier-poll verdicts — across this many
 	// worker shards (sim.ShardPool). Authoritative event dispatch stays
@@ -183,10 +190,8 @@ type Config struct {
 	// suite pins this against the default. 1 (and 0 resolving to a single
 	// CPU) runs the existing sequential kernel untouched — the differential
 	// control arm, same discipline as LinearMedium and EagerDecay; 0 means
-	// one shard per CPU (GOMAXPROCS). Runtime-only, like Cancel and
-	// Recorder: excluded from the config encoding, so changing the shard
-	// count never changes a cache key or a snapshot fingerprint.
-	Shards int
+	// one shard per CPU (GOMAXPROCS).
+	Shards int `json:"-"`
 }
 
 // Progress is a live snapshot of a running simulation, delivered through

@@ -36,10 +36,28 @@ func compareArm(t *testing.T, arm string, wantRes, gotRes Result, wantEvents, go
 	}
 }
 
+// snapshotConfigs is the differential matrix plus a config of explicit
+// zeros where the defaults are non-zero (exit probability, seed) with
+// telemetry sampled at a non-default interval: a restore or fork must
+// rebuild exactly this config from the snapshot's embedded encoding, not
+// the defaults. (Telemetry's kernel-event gauges keep it out of the
+// eager-vs-lazy matrix, where event counts legitimately differ.)
+func snapshotConfigs() map[string]Config {
+	cfgs := elisionConfigs()
+	zeros := cfgs["opt-plain"]
+	zeros.ExitProb = 0
+	zeros.Seed = 0
+	zeros.Telemetry = true
+	zeros.TelemetrySampleSeconds = 7
+	cfgs["zero-overrides"] = zeros
+	return cfgs
+}
+
 // TestSnapshotDifferential is the end-to-end correctness gate for the
-// snapshot tentpole, over the full 10-config differential matrix (faults,
-// battery, burst loss, low-duty elision, mobile sinks). Three arms must be
-// bit-identical on the whole Result and the full typed telemetry stream:
+// snapshot tentpole, over the full 11-config differential matrix (faults,
+// battery, burst loss, low-duty elision, mobile sinks, explicit zeros).
+// Three arms must be bit-identical on the whole Result and the full typed
+// telemetry stream:
 //
 //  1. the straight run to the horizon;
 //  2. checkpoint mid-run, encode + decode the snapshot through the
@@ -49,7 +67,7 @@ func compareArm(t *testing.T, arm string, wantRes, gotRes Result, wantEvents, go
 // On top of that, the simulation the checkpoint was exported from must
 // itself continue unperturbed — exports never mutate.
 func TestSnapshotDifferential(t *testing.T) {
-	for name, cfg := range elisionConfigs() {
+	for name, cfg := range snapshotConfigs() {
 		name, cfg := name, cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dftmsn/internal/core"
@@ -18,7 +19,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 // goldenConfigs is the matrix whose canonical encodings and cache keys are
 // pinned. Every contributor to the encoding appears somewhere: scheme,
 // topology, radio, traffic, faults (legacy fields and structured plans),
-// thresholds, invariants, custom params, checkpointing.
+// thresholds, invariants, custom params, checkpointing, and explicit zeros
+// where the defaults are non-zero.
 func goldenConfigs() []struct {
 	name string
 	cfg  scenario.Config
@@ -63,6 +65,11 @@ func goldenConfigs() []struct {
 	legacy.EagerDecay = true
 	legacy.InjectSkipSenderFTD = true
 
+	zeros := scenario.DefaultConfig(core.SchemeOPT)
+	zeros.ExitProb = 0
+	zeros.Seed = 0
+	zeros.TelemetrySampleSeconds = 7
+
 	return []struct {
 		name string
 		cfg  scenario.Config
@@ -72,6 +79,7 @@ func goldenConfigs() []struct {
 		{"faulted-noopt", faulty},
 		{"tuned-epidemic", tuned},
 		{"legacy-direct", legacy},
+		{"zero-overrides", zeros},
 	}
 }
 
@@ -90,16 +98,21 @@ func TestCanonicalEncodingAndCacheKeyGolden(t *testing.T) {
 	defer func() { buildVersion = savedVersion }()
 
 	var got bytes.Buffer
+	keys := make(map[string]string)
 	for _, c := range goldenConfigs() {
 		blob, err := scenario.EncodeConfig(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		// The encoding must decode back to an identical encoding — the
-		// fixed-point property every consumer of these bytes assumes.
+		// The encoding must decode back to the identical config and hence
+		// the identical encoding — the round-trip property every consumer
+		// of these bytes assumes.
 		cfg2, err := scenario.DecodeConfig(blob)
 		if err != nil {
 			t.Fatalf("%s: canonical bytes do not decode: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(cfg2, c.cfg) {
+			t.Fatalf("%s: canonical bytes decode to a different config:\n%+v", c.name, cfg2)
 		}
 		blob2, err := scenario.EncodeConfig(cfg2)
 		if err != nil {
@@ -112,6 +125,10 @@ func TestCanonicalEncodingAndCacheKeyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		if other, dup := keys[key]; dup {
+			t.Fatalf("%s: cache key collides with %s", c.name, other)
+		}
+		keys[key] = c.name
 		fmt.Fprintf(&got, "== %s\n%skey=%s\n", c.name, blob, key)
 	}
 

@@ -66,12 +66,8 @@
 // prefix (a "deadline" line marks how far it got), and the process exits
 // with status 3 — distinct from status 1, which means the run failed.
 //
-// -eager-decay disables the event-elision engine (PROTOCOL.md §11) and
-// runs every ξ-decay tick and sleep cycle as a real kernel event — the
-// control arm for performance comparisons; results are identical either
-// way, only the event count and wall time change. -cpuprofile and
-// -memprofile write pprof profiles of the run for use with `go tool
-// pprof`.
+// -cpuprofile and -memprofile write pprof profiles of the run for use
+// with `go tool pprof`.
 //
 // -shards N spreads the kernel's O(N) batch phases — mobility free flight,
 // spatial-index refresh and carrier-poll verdicts — across N worker
@@ -158,7 +154,6 @@ func run(args []string, out io.Writer) error {
 		snapshotAt   = fs.Float64("snapshot-at", -1, "take a quiescent snapshot at or after this virtual time (s) and keep running")
 		restorePath  = fs.String("restore", "", "resume a saved snapshot instead of starting a new run (scenario flags are ignored)")
 
-		eagerDecay = fs.Bool("eager-decay", false, "disable event elision: run every decay tick and sleep cycle as a kernel event (control arm)")
 		shards     = fs.Int("shards", 1, "worker shards for the kernel's batch phases (0 = one per CPU); any value produces a bit-identical digest")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
@@ -264,9 +259,6 @@ func run(args []string, out io.Writer) error {
 		cfg.OnProgress = func(p dftmsn.Progress) {
 			fmt.Fprintf(os.Stderr, "dftsim: %s\n", formatProgress(p))
 		}
-	}
-	if *eagerDecay {
-		cfg.EagerDecay = true
 	}
 	// Applies in all three paths (flags, -config, -restore): the shard
 	// count is a runtime knob of this invocation, never part of a loaded
@@ -397,7 +389,7 @@ func run(args []string, out io.Writer) error {
 		res.Delivery.AvgDelaySeconds, res.Delivery.MedianDelaySeconds,
 		res.Delivery.P90DelaySeconds, res.Delivery.MaxDelaySeconds)
 	fmt.Fprintf(out, "avg nodal power   %.3f mW (duty cycle %.1f%%)\n", res.AvgSensorPowerMW, res.AvgDutyCycle*100)
-	if cfg.Faults.Enabled() || cfg.FailFraction > 0 {
+	if cfg.Faults.Enabled() {
 		r := res.Resilience
 		fmt.Fprintf(out, "resilience        %d crashes, %d recoveries, %d sink outages\n",
 			r.Crashes, r.Recoveries, r.SinkOutages)

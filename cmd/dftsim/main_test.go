@@ -221,32 +221,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunWithEagerDecay checks the control arm: -eager-decay must leave
-// every physics line of the digest byte-identical while dropping the
-// elided-event count to zero.
-func TestRunWithEagerDecay(t *testing.T) {
-	base := []string{"-scheme", "OPT", "-sensors", "15", "-sinks", "2",
-		"-duration", "300", "-seed", "5", "-v"}
-	var lazy, eager strings.Builder
-	if err := run(base, &lazy); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(append([]string{}, base...), "-eager-decay"), &eager); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(eager.String(), " 0 elided") {
-		t.Errorf("eager run still elided events:\n%s", eager.String())
-	}
-	if strings.Contains(lazy.String(), " 0 elided") {
-		t.Errorf("lazy run elided nothing:\n%s", lazy.String())
-	}
-	trim := func(s string) string { return s[strings.Index(s, "generated"):] }
-	if trim(lazy.String()) != trim(eager.String()) {
-		t.Errorf("eager-decay perturbed the physics digest:\n%s\n---\n%s",
-			lazy.String(), eager.String())
-	}
-}
-
 // TestRunWithShards pins the -shards contract: a sharded run prints the
 // byte-exact digest of a sequential one except for its own "shards" line
 // (and the wall clock), the default of 1 prints no shards line at all, and

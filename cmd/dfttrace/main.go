@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.NumSinks = *sinks
 	cfg.DurationSeconds = *duration
 	cfg.Seed = *seed
-	cfg.Tracer = tracer
+	cfg.Recorder = telemetry.NewLegacyAdapter(tracer)
 
 	res, err := dftmsn.Run(cfg)
 	if err != nil {

@@ -113,7 +113,7 @@ func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 func LoadConfig(r io.Reader) (Config, error) { return scenario.LoadConfig(r) }
 
 // SaveConfig writes cfg's serialisable fields as indented JSON — every
-// field but the runtime attachments (tracers, recorders, frame capture,
+// field but the runtime attachments (recorders, frame capture,
 // cancellation, progress, shards), telemetry_sample_s included — so
 // LoadConfig reads back an identical Config.
 func SaveConfig(w io.Writer, cfg Config) error { return scenario.SaveConfig(w, cfg) }
@@ -220,8 +220,8 @@ func LoadSnapshot(path string) (*Snapshot, error) { return snapshot.Load(path) }
 
 // RestoreSim rebuilds a simulation from a snapshot; running it to the
 // horizon is bit-identical to the run the snapshot was taken from. The
-// customize hooks may reattach runtime-only config (recorders, tracers)
-// the snapshot cannot carry.
+// customize hooks may reattach runtime-only config (recorders, frame
+// capture) the snapshot cannot carry.
 func RestoreSim(snap *Snapshot, customize ...func(*Config)) (*Sim, error) {
 	return scenario.Restore(snap, customize...)
 }

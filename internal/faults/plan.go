@@ -18,8 +18,7 @@
 //   - Gilbert–Elliott burst loss: a two-state (good/bad) channel loss
 //     process layered on the radio medium, complementing the existing
 //     uniform i.i.d. loss (see radio.Medium.SetBurstLoss).
-//   - Kills: one-shot burst failures of a sensor fraction at a fixed time,
-//     subsuming the legacy scenario FailFraction/FailAtSeconds pair.
+//   - Kills: one-shot burst failures of a sensor fraction at a fixed time.
 //
 // Plans are plain data with JSON tags, so they round-trip through the
 // scenario config files (internal/scenario/configio.go).

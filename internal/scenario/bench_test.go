@@ -80,7 +80,7 @@ func largeConfig(n int, seconds float64, linear bool) Config {
 	cfg.DurationSeconds = seconds
 	cfg.ArrivalMeanSeconds = 5
 	cfg.Seed = 11
-	cfg.LinearMedium = linear
+	cfg.linearMedium = linear
 	return cfg
 }
 
@@ -102,7 +102,7 @@ func intSqrtCeil(n int) int {
 func idleConfig(n int, seconds float64, eager bool) Config {
 	cfg := largeConfig(n, seconds, false)
 	cfg.ArrivalMeanSeconds = 300
-	cfg.EagerDecay = eager
+	cfg.eagerDecay = eager
 	p := core.DefaultParams(core.SchemeOPT)
 	p.Sleep.TMin = 5
 	p.Sleep.L = 12

@@ -53,8 +53,8 @@ func EncodeConfig(cfg Config) ([]byte, error) {
 }
 
 // DecodeConfig parses a configuration produced by EncodeConfig. Runtime-only
-// attachments (tracers, recorders, frame capture) are not part of the
-// encoding; reattach them after decoding.
+// attachments (recorders, frame capture) are not part of the encoding;
+// reattach them after decoding.
 func DecodeConfig(b []byte) (Config, error) {
 	return LoadConfig(bytes.NewReader(b))
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,8 +47,7 @@ func TestLoadConfigOverrides(t *testing.T) {
 		"sinks": 2,
 		"duration_s": 1234,
 		"loss_prob": 0.1,
-		"fail_fraction": 0.2,
-		"fail_at_s": 500,
+		"faults": {"kills": [{"at_s": 500, "fraction": 0.2}]},
 		"mobile_sinks": true,
 		"seed": 99
 	}`
@@ -60,7 +61,7 @@ func TestLoadConfigOverrides(t *testing.T) {
 	if cfg.DurationSeconds != 1234 || cfg.LossProb != 0.1 || !cfg.MobileSinks {
 		t.Fatalf("cfg %+v", cfg)
 	}
-	if cfg.FailFraction != 0.2 || cfg.FailAtSeconds != 500 || cfg.Seed != 99 {
+	if want := []faults.Kill{{AtSeconds: 500, Fraction: 0.2}}; cfg.Faults == nil || !reflect.DeepEqual(cfg.Faults.Kills, want) || cfg.Seed != 99 {
 		t.Fatalf("cfg %+v", cfg)
 	}
 }
@@ -91,12 +92,49 @@ func TestLoadConfigRejectsBadInput(t *testing.T) {
 		`{"scheme": "OPT", "loss_prob": 2}`, // out of range
 		`{}`,                                // missing scheme
 		`{"scheme": "OPT", "Shards": 4}`,    // runtime-only field
+		// Removed keys: a kill is spelled faults.kills, the test-only
+		// control arms are not part of the schema, and scenario.New sets
+		// the two node fields of params from the scenario.
+		`{"scheme": "OPT", "fail_fraction": 0.2, "fail_at_s": 500}`,
+		`{"scheme": "OPT", "fail_fraction": 0}`,
+		`{"scheme": "OPT", "fail_at_s": 500}`,
+		`{"scheme": "OPT", "linear_medium": true}`,
+		`{"scheme": "OPT", "eager_decay": true}`,
+		paramsDoc(t, "EagerDecay", true),
+		paramsDoc(t, "BatteryJoules", 0.05),
 	}
 	for _, doc := range cases {
 		if _, err := LoadConfig(strings.NewReader(doc)); err == nil {
 			t.Errorf("accepted %q", doc)
 		}
 	}
+}
+
+// paramsDoc returns an OPT config document whose params object holds the
+// scheme's default parameters plus key: value. The document without the
+// extra key must load, so a rejection can only be the key's doing.
+func paramsDoc(t *testing.T, key string, value any) string {
+	t.Helper()
+	b, err := json.Marshal(core.DefaultParams(core.SchemeOPT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var params map[string]any
+	if err := json.Unmarshal(b, &params); err != nil {
+		t.Fatal(err)
+	}
+	doc := map[string]any{"scheme": "OPT", "params": params}
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(bytes.NewReader(b)); err != nil {
+		t.Fatalf("default params do not load: %v", err)
+	}
+	params[key] = value
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -162,7 +200,6 @@ func TestLoadConfigRejectsBadFaultPlan(t *testing.T) {
 		`{"scheme": "OPT", "faults": {"kills": [{"at_s": 99999, "fraction": 0.5}]}}`,                           // beyond the run
 		`{"scheme": "OPT", "faults": {"kills": [{"at_s": 100, "fraction": 1.5}]}}`,                             // fraction > 1
 		`{"scheme": "OPT", "faults": {"churns": {}}}`,                                                          // typo (unknown field)
-		`{"scheme": "OPT", "fail_fraction": 0.5, "fail_at_s": 30000}`,                                          // legacy burst beyond the run
 	}
 	for _, doc := range cases {
 		if _, err := LoadConfig(strings.NewReader(doc)); err == nil {
@@ -199,7 +236,7 @@ func TestSaveLoadRoundTripFaultPlan(t *testing.T) {
 func FuzzLoadConfig(f *testing.F) {
 	seeds := []string{
 		`{"scheme": "opt"}`,
-		`{"scheme": "ZBR", "sensors": 42, "fail_fraction": 0.2, "fail_at_s": 500}`,
+		`{"scheme": "ZBR", "sensors": 42, "faults": {"kills": [{"at_s": 500, "fraction": 0.2}]}}`,
 		`{"scheme": "OPT", "faults": {"churn": {"mtbf_s": 500, "mttr_s": 100}}}`,
 		`{"scheme": "OPT", "faults": {"sink_outages": [{"sink": -1, "start_s": 1, "duration_s": 1}]}}`,
 		`{"scheme": "OPT", "faults": {"burst_loss": {"bad_loss_prob": 0.9, "mean_good_s": 6e1, "mean_bad_s": 2}}}`,

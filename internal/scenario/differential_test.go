@@ -56,7 +56,7 @@ func differentialConfigs() map[string]Config {
 }
 
 // TestLinearMediumMatchesIndexed is the end-to-end differential property
-// test for the tentpole: with Config.LinearMedium as the only difference,
+// test for the tentpole: with the linearMedium arm as the only difference,
 // the whole Result — delivery summary, channel stats, energy, event count —
 // and the full typed telemetry event stream must be identical. Any
 // divergence means the spatial index changed which receptions happen or in
@@ -68,7 +68,7 @@ func TestLinearMediumMatchesIndexed(t *testing.T) {
 			t.Parallel()
 			run := func(linear bool) (Result, []telemetry.Event) {
 				c := cfg
-				c.LinearMedium = linear
+				c.linearMedium = linear
 				buf := &telemetry.Buffer{}
 				c.Recorder = buf
 				s, err := New(c)

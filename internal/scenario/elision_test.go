@@ -59,7 +59,7 @@ func elisionConfigs() map[string]Config {
 }
 
 // TestEagerDecayMatchesLazy is the end-to-end differential property test
-// for the event-elision tentpole: with Config.EagerDecay as the only
+// for the event-elision tentpole: with the eagerDecay arm as the only
 // difference, the whole Result minus the kernel event counters — delivery
 // summary, channel stats, energy, resilience — and the full typed
 // telemetry event stream must be identical. On top of that, the elided
@@ -72,7 +72,7 @@ func TestEagerDecayMatchesLazy(t *testing.T) {
 			t.Parallel()
 			run := func(eager bool) (Result, []telemetry.Event) {
 				c := cfg
-				c.EagerDecay = eager
+				c.eagerDecay = eager
 				buf := &telemetry.Buffer{}
 				c.Recorder = buf
 				s, err := New(c)

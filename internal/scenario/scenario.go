@@ -27,7 +27,6 @@ import (
 	"dftmsn/internal/simrand"
 	"dftmsn/internal/snapshot"
 	"dftmsn/internal/telemetry"
-	"dftmsn/internal/trace"
 )
 
 // Config describes one simulation run. DefaultConfig returns the paper's
@@ -90,31 +89,13 @@ type Config struct {
 	// LossProb corrupts each reception independently with this
 	// probability (fading/interference beyond collisions). Zero disables.
 	LossProb float64 `json:"loss_prob,omitempty"`
-	// FailFraction kills this share of sensors at FailAtSeconds (their
-	// queues die with them) — the fault the paper's redundancy tolerates.
-	// Zero disables.
-	FailFraction float64 `json:"fail_fraction,omitempty"`
-	// FailAtSeconds is when the failure burst strikes.
-	FailAtSeconds float64 `json:"fail_at_s,omitempty"`
-	// Faults optionally injects richer faults: node churn, sink outages,
-	// Gilbert–Elliott burst loss, and additional kill bursts (see
-	// internal/faults). The legacy FailFraction/FailAtSeconds pair is
-	// folded into the plan as a one-shot kill, so the two compose.
+	// Faults optionally injects faults: node churn, sink outages,
+	// Gilbert–Elliott burst loss, and kill bursts — a sensor fraction dies
+	// for good, queues included, the fault the paper's redundancy
+	// tolerates (see internal/faults).
 	Faults *faults.Plan `json:"faults,omitempty"`
 	// Seed makes the run reproducible.
 	Seed uint64 `json:"seed"`
-	// LinearMedium runs the radio medium with its O(N) linear scans
-	// instead of the uniform-grid spatial index. The two are verified
-	// equivalent (bit-identical results); this is the control arm for the
-	// differential test and the scale benchmarks. Leave it false.
-	LinearMedium bool `json:"linear_medium,omitempty"`
-	// EagerDecay runs the nodes with per-node decay tickers and per-cycle
-	// MAC events instead of the event-elision engine (lazy closed-form ξ
-	// decay, coalesced idle spans, batched mobility ticks). The two are
-	// verified equivalent (bit-identical results and telemetry); this is
-	// the control arm for the differential tests and the scale benchmarks.
-	// Leave it false.
-	EagerDecay bool `json:"eager_decay,omitempty"`
 	// DeliveryThreshold overrides R of §3.2.2 for the FAD-family schemes
 	// (0 keeps the default 0.9).
 	DeliveryThreshold float64 `json:"delivery_threshold,omitempty"`
@@ -147,14 +128,11 @@ type Config struct {
 	// uncheckpointed one. Zero disables.
 	CheckpointEvery float64 `json:"checkpoint_every_s,omitempty"`
 
-	// Tracer optionally records events in the legacy TSV format (nil = no
-	// tracing). It is served through the trace-v2 layer by a byte-compatible
-	// adapter, so old tooling keeps working unchanged.
-	Tracer trace.Tracer `json:"-"`
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
 	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
-	// telemetry.Buffer for in-memory analysis, or any custom Recorder;
-	// compose several with telemetry.Combine.
+	// telemetry.Buffer for in-memory analysis, a telemetry.LegacyAdapter
+	// for the legacy TSV trace, or any custom Recorder; compose several
+	// with telemetry.Combine.
 	Recorder telemetry.Recorder `json:"-"`
 	// FrameCapture optionally receives every transmitted frame in the
 	// packet capture format (see packet.CaptureWriter); nil disables.
@@ -189,9 +167,17 @@ type Config struct {
 	// bit-identical Results, telemetry bytes, and snapshots; the shard-diff
 	// suite pins this against the default. 1 (and 0 resolving to a single
 	// CPU) runs the existing sequential kernel untouched — the differential
-	// control arm, same discipline as LinearMedium and EagerDecay; 0 means
-	// one shard per CPU (GOMAXPROCS).
+	// control arm; 0 means one shard per CPU (GOMAXPROCS).
 	Shards int `json:"-"`
+
+	// Test-only differential control arms, each pinned bit-identical to
+	// the production path. They are not encoded, so Restore and Fork drop
+	// them unless a customize hook sets them again. linearMedium scans the
+	// radio medium in O(N) instead of through the spatial index;
+	// eagerDecay runs per-node decay tickers and per-cycle MAC events
+	// instead of the event-elision engine.
+	linearMedium bool
+	eagerDecay   bool
 }
 
 // Progress is a live snapshot of a running simulation, delivered through
@@ -287,15 +273,6 @@ func (c Config) Validate() error {
 	}
 	if c.LossProb < 0 || c.LossProb > 1 {
 		return fmt.Errorf("scenario: loss probability %v out of [0,1]", c.LossProb)
-	}
-	if c.FailFraction < 0 || c.FailFraction > 1 {
-		return fmt.Errorf("scenario: fail fraction %v out of [0,1]", c.FailFraction)
-	}
-	if c.FailFraction > 0 && c.FailAtSeconds <= 0 {
-		return fmt.Errorf("scenario: FailAtSeconds must be positive when failures are enabled")
-	}
-	if c.FailFraction > 0 && c.FailAtSeconds > c.DurationSeconds {
-		return fmt.Errorf("scenario: FailAtSeconds %v is beyond the %v s run; the failure would never fire", c.FailAtSeconds, c.DurationSeconds)
 	}
 	if err := c.Faults.Validate(c.DurationSeconds, c.NumSinks); err != nil {
 		return err
@@ -438,19 +415,12 @@ type Sim struct {
 	pollBusy []bool
 }
 
-// faultPlan folds the legacy FailFraction/FailAtSeconds pair into the
-// declarative plan, as a one-shot kill appended after any configured ones.
+// faultPlan returns the configured fault plan; the zero plan when none.
 func (c Config) faultPlan() faults.Plan {
-	var plan faults.Plan
-	if c.Faults != nil {
-		plan = *c.Faults
+	if c.Faults == nil {
+		return faults.Plan{}
 	}
-	if c.FailFraction > 0 {
-		kills := make([]faults.Kill, 0, len(plan.Kills)+1)
-		kills = append(kills, plan.Kills...)
-		plan.Kills = append(kills, faults.Kill{AtSeconds: c.FailAtSeconds, Fraction: c.FailFraction})
-	}
-	return plan
+	return *c.Faults
 }
 
 // New assembles a simulation from cfg. The network is built immediately;
@@ -468,22 +438,15 @@ func New(cfg Config) (*Sim, error) {
 	}
 	root := simrand.New(cfg.Seed)
 
-	// Telemetry composition: the caller's trace-v2 recorder, the legacy
-	// tracer behind a byte-compatible adapter, and (when armed) the metrics
-	// registry all observe the same typed event stream. With none of them
-	// configured this collapses to the allocation-free Nop.
+	// Telemetry composition: the caller's trace-v2 recorder and (when
+	// armed) the metrics registry observe the same typed event stream.
+	// With neither configured this collapses to the allocation-free Nop.
+	var metricsRec telemetry.Recorder
 	if cfg.Telemetry {
 		s.telem = telemetry.NewRunRegistry(cfg.DurationSeconds, cfg.QueueCapacity)
-	}
-	var legacy telemetry.Recorder
-	if adapter := telemetry.NewLegacyAdapter(cfg.Tracer); adapter != nil {
-		legacy = adapter
-	}
-	var metricsRec telemetry.Recorder
-	if s.telem != nil {
 		metricsRec = s.telem
 	}
-	s.rec = telemetry.Combine(cfg.Recorder, legacy, metricsRec)
+	s.rec = telemetry.Combine(cfg.Recorder, metricsRec)
 
 	// The mode was validated above; arm the invariant engine before the
 	// nodes exist so their probes can register as they are built.
@@ -507,7 +470,7 @@ func New(cfg Config) (*Sim, error) {
 		RangeM:     cfg.RangeM,
 		BitrateBps: cfg.BitrateBps,
 		Sizes:      packet.Sizes{ControlBits: cfg.ControlBits, DataBits: cfg.DataBits},
-		LinearScan: cfg.LinearMedium,
+		LinearScan: cfg.linearMedium,
 	})
 	if err != nil {
 		return nil, err
@@ -560,7 +523,7 @@ func New(cfg Config) (*Sim, error) {
 		params = *cfg.Params
 	}
 	params.BatteryJoules = cfg.BatteryJoules
-	params.EagerDecay = cfg.EagerDecay
+	params.EagerDecay = cfg.eagerDecay
 	profile := energy.BerkeleyMote()
 	isSink := func(id packet.NodeID) bool { return int(id) < cfg.NumSinks }
 
@@ -678,7 +641,7 @@ func New(cfg Config) (*Sim, error) {
 		// spatial index here keeps it exact between ticks.
 		s.refreshPositions()
 	}
-	if cfg.EagerDecay {
+	if cfg.eagerDecay {
 		wheel.Add(cfg.MobilityTickSeconds, tickStep)
 	} else {
 		wheel.AddBatchable(cfg.MobilityTickSeconds, func(now sim.Time) {
@@ -715,10 +678,9 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	// Fault injection: the declarative plan (churn, sink outages, kill
-	// bursts — the legacy FailFraction burst folded in) runs on the
-	// scheduler with all randomness from one dedicated stream, split at
-	// the same position the legacy one-shot path used so kills-only runs
-	// reproduce the historical victim draws exactly.
+	// bursts) runs on the scheduler with all randomness from one dedicated
+	// stream, split at a fixed position so kills-only runs reproduce the
+	// historical victim draws exactly.
 	if s.plan.NeedsInjector() {
 		failRng := simrand.New(cfg.Seed).Split("aux/failures")
 		sensorNodes := make([]faults.Node, len(s.sensors))

@@ -9,6 +9,7 @@ import (
 	"dftmsn/internal/energy"
 	"dftmsn/internal/faults"
 	"dftmsn/internal/geo"
+	"dftmsn/internal/telemetry"
 	"dftmsn/internal/trace"
 )
 
@@ -214,7 +215,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 	var sb strings.Builder
 	cfg := quickConfig(core.SchemeOPT)
 	w := trace.NewWriter(&sb, 0)
-	cfg.Tracer = w
+	cfg.Recorder = telemetry.NewLegacyAdapter(w)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +243,8 @@ func TestTraceInvariantsHoldForEveryScheme(t *testing.T) {
 			var sb strings.Builder
 			w := trace.NewWriter(&sb, 0)
 			cfg := quickConfig(sch)
-			cfg.Tracer = w
-			cfg.FailFraction = 0.2
-			cfg.FailAtSeconds = cfg.DurationSeconds / 2
+			cfg.Recorder = telemetry.NewLegacyAdapter(w)
+			cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: cfg.DurationSeconds / 2, Fraction: 0.2}}}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -382,8 +382,7 @@ func TestMobileSinksDeliver(t *testing.T) {
 
 func TestFaultInjectionKillsFraction(t *testing.T) {
 	cfg := quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.3
-	cfg.FailAtSeconds = 100
+	cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: 100, Fraction: 0.3}}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -411,8 +410,8 @@ func TestFaultInjectionKillsFraction(t *testing.T) {
 	if dead != 6 {
 		t.Fatalf("%d dead sensors, want 6", dead)
 	}
-	// The injector now runs the legacy burst, so the resilience digest
-	// must account for it.
+	// The injector runs the burst, so the resilience digest must account
+	// for it.
 	if res.Resilience.Crashes != 6 || res.Resilience.Recoveries != 0 {
 		t.Fatalf("resilience %+v, want 6 crashes and no recoveries", res.Resilience)
 	}
@@ -420,22 +419,6 @@ func TestFaultInjectionKillsFraction(t *testing.T) {
 
 func TestFaultConfigValidation(t *testing.T) {
 	cfg := quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 1.5
-	if _, err := New(cfg); err == nil {
-		t.Error("fail fraction > 1 accepted")
-	}
-	cfg = quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.5 // no FailAtSeconds
-	if _, err := New(cfg); err == nil {
-		t.Error("failures without a time accepted")
-	}
-	cfg = quickConfig(core.SchemeOPT)
-	cfg.FailFraction = 0.5
-	cfg.FailAtSeconds = cfg.DurationSeconds + 1 // would silently never fire
-	if _, err := New(cfg); err == nil {
-		t.Error("failure time beyond the run accepted")
-	}
-	cfg = quickConfig(core.SchemeOPT)
 	cfg.LossProb = -0.1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative loss accepted")

@@ -86,7 +86,7 @@ func TestCheckpointMidIdleSpan(t *testing.T) {
 // The eager arm guarantees every tick is a real fired event to land on.
 func TestCheckpointOnWheelTick(t *testing.T) {
 	cfg := elisionConfigs()["opt-plain"]
-	cfg.EagerDecay = true
+	cfg.eagerDecay = true
 
 	baseBuf := &telemetry.Buffer{}
 	c := cfg
@@ -135,7 +135,10 @@ func TestCheckpointOnWheelTick(t *testing.T) {
 	prefix := append([]telemetry.Event(nil), buf.Events...)
 
 	restBuf := &telemetry.Buffer{}
-	restored, err := Restore(snap, func(c *Config) { c.Recorder = restBuf })
+	restored, err := Restore(snap, func(c *Config) {
+		c.Recorder = restBuf
+		c.eagerDecay = true // the arm is not encoded; the snapshot holds eager state
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

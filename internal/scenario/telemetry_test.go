@@ -103,9 +103,8 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 
 	cfg := quickConfig(core.SchemeOPT)
 	cfg.Telemetry = true
-	cfg.Recorder = &telemetry.Buffer{}
 	var legacy bytes.Buffer
-	cfg.Tracer = trace.NewWriter(&legacy, 0)
+	cfg.Recorder = telemetry.Combine(&telemetry.Buffer{}, telemetry.NewLegacyAdapter(trace.NewWriter(&legacy, 0)))
 	traced, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenConfigs is the matrix whose canonical encodings and cache keys are
 // pinned. Every contributor to the encoding appears somewhere: scheme,
-// topology, radio, traffic, faults (legacy fields and structured plans),
+// topology, radio, traffic, faults (a full plan and a kills-only one),
 // thresholds, invariants, custom params, checkpointing, and explicit zeros
 // where the defaults are non-zero.
 func goldenConfigs() []struct {
@@ -59,10 +59,7 @@ func goldenConfigs() []struct {
 	tuned.TrafficStopSeconds = 4000
 
 	legacy := scenario.DefaultConfig(core.SchemeDirect)
-	legacy.FailFraction = 0.2
-	legacy.FailAtSeconds = 1000
-	legacy.LinearMedium = true
-	legacy.EagerDecay = true
+	legacy.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: 1000, Fraction: 0.2}}}
 	legacy.InjectSkipSenderFTD = true
 
 	zeros := scenario.DefaultConfig(core.SchemeOPT)

@@ -11,7 +11,7 @@ import (
 
 // Job states as journaled. queued/running/interrupted are resumable: a
 // journal whose last word on a job is one of them re-enqueues the job on
-// restart. done/cancelled/quarantined are terminal.
+// restart. done/cancelled/quarantined/failed are terminal.
 const (
 	stateQueued      = "queued"
 	stateRunning     = "running"
@@ -19,11 +19,12 @@ const (
 	stateDone        = "done"
 	stateCancelled   = "cancelled" // deadline expired; partial result reported
 	stateQuarantined = "quarantined"
+	stateFailed      = "failed" // journaled config no longer decodes; never ran
 )
 
 // terminalState reports whether a journaled state ends a job's life.
 func terminalState(s string) bool {
-	return s == stateDone || s == stateCancelled || s == stateQuarantined
+	return s == stateDone || s == stateCancelled || s == stateQuarantined || s == stateFailed
 }
 
 // journalEntry is one fsync'd line of the job journal: a state transition,

@@ -204,8 +204,10 @@ type Server struct {
 
 // New builds a Server: it replays the journal (warming the cache and
 // collecting unfinished jobs), opens it for appending, and re-enqueues
-// everything the last process left behind. Call Start to launch the
-// workers and Handler to mount the HTTP API.
+// everything the last process left behind. An unfinished job whose config
+// no longer decodes (it carries a key the schema has since dropped) is
+// journaled failed with the decode error instead of blocking start-up.
+// Call Start to launch the workers and Handler to mount the HTTP API.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	replayed, err := replayJournal(opts.JournalPath)
@@ -236,6 +238,8 @@ func New(opts Options) (*Server, error) {
 			key: r.Key, state: r.State, errMsg: r.Error, cacheHit: r.Cached,
 			payload: r.Payload,
 		}
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
 		if terminalState(r.State) {
 			if r.State == stateDone && !r.Cached {
 				s.cache.Put(r.Key, r.Payload)
@@ -252,7 +256,8 @@ func New(opts Options) (*Server, error) {
 			if req.Kind == "run" || req.Kind == "chaos" {
 				c, err := scenario.DecodeConfig(req.Config)
 				if err != nil {
-					return nil, fmt.Errorf("service: journal replay of job %s: %w", r.ID, err)
+					s.transition(j, stateFailed, func(e *journalEntry) { e.Error = err.Error() })
+					continue
 				}
 				cfg = c
 			}
@@ -264,8 +269,6 @@ func New(opts Options) (*Server, error) {
 			}
 			resumable = append(resumable, j)
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 	}
 	s.nextID = len(replayed) + 1
 

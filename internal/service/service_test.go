@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -381,6 +382,71 @@ func TestJournalReplayResumesAndWarmsCache(t *testing.T) {
 	}
 	if !bytes.Equal(repeat.Result, final.Result) {
 		t.Fatal("cache-served payload differs across restart")
+	}
+}
+
+// TestJournalReplayFailsUndecodableJob pins start-up on a journal holding
+// an unfinished job whose config no longer decodes — here one journaled
+// with a key the schema has since dropped. The server must start, end that
+// job "failed" with the decode error and journal it, and still resume and
+// finish the valid job beside it.
+func TestJournalReplayFailsUndecodableJob(t *testing.T) {
+	dir := t.TempDir()
+	jp := filepath.Join(dir, "journal.jsonl")
+
+	// First life: accept a valid job but die before running it.
+	s1, err := New(Options{JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	code, good := submit(t, ts1, tinyRunBody(4))
+	ts1.Close()
+	s1.journal.close()
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	// A second queued submission whose config carries a removed key.
+	const badID = "j000099-00000000"
+	bad := journalEntry{
+		Job: badID, State: stateQueued, Kind: "run", Tenant: "anonymous", Key: strings.Repeat("0", 64),
+		Request: &Request{Kind: "run", Config: json.RawMessage(`{"scheme":"OPT","sensors":6,"sinks":1,"duration_s":120,"linear_medium":true}`)},
+	}
+	line, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(jp, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// Second life: start-up succeeds, the bad job is failed at once and
+	// the good one resumes to done.
+	s2, ts2 := newTestServer(t, Options{JournalPath: jp, Workers: 1})
+	failed := awaitTerminal(t, ts2, badID)
+	if failed.State != stateFailed || !strings.Contains(failed.Error, `unknown field "linear_medium"`) {
+		t.Fatalf("undecodable job: state %q error %q, want failed with the decode error", failed.State, failed.Error)
+	}
+	if final := awaitTerminal(t, ts2, good.ID); final.State != stateDone {
+		t.Fatalf("valid job state %q, want done (err %q)", final.State, final.Error)
+	}
+	if v := promValue(t, ts2, "dftserve_jobs_resumed_total"); v != 1 {
+		t.Fatalf("jobs_resumed = %v, want 1", v)
+	}
+	s2.Shutdown(5 * time.Second)
+
+	// Third life: the failure was journaled, so nothing resumes.
+	_, ts3 := newTestServer(t, Options{JournalPath: jp, Workers: 1})
+	if v := promValue(t, ts3, "dftserve_jobs_resumed_total"); v != 0 {
+		t.Fatalf("jobs_resumed after restart = %v, want 0", v)
+	}
+	if st := awaitTerminal(t, ts3, badID); st.State != stateFailed || st.Error != failed.Error {
+		t.Fatalf("replayed undecodable job: state %q error %q, want %q %q", st.State, st.Error, stateFailed, failed.Error)
 	}
 }
 

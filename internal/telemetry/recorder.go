@@ -78,12 +78,8 @@ type LegacyAdapter struct {
 
 var _ Recorder = (*LegacyAdapter)(nil)
 
-// NewLegacyAdapter wraps a legacy tracer. A nil tracer yields a nil
-// adapter, which Combine skips.
+// NewLegacyAdapter wraps a legacy tracer.
 func NewLegacyAdapter(t trace.Tracer) *LegacyAdapter {
-	if t == nil {
-		return nil
-	}
 	return &LegacyAdapter{t: t}
 }
 

@@ -225,9 +225,6 @@ func TestLegacyAdapterByteCompatible(t *testing.T) {
 	if buf.String() != want {
 		t.Errorf("legacy lines:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	if NewLegacyAdapter(nil) != nil {
-		t.Error("NewLegacyAdapter(nil) should be nil")
-	}
 }
 
 // TestNopZeroAlloc is the acceptance criterion: the telemetry-off path

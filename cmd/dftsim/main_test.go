@@ -408,9 +408,15 @@ func TestRunWithTelemetry(t *testing.T) {
 		if len(events) == 0 {
 			t.Fatalf("%s: empty trace", format)
 		}
+		if vs := telemetry.Verify(events); len(vs) != 0 {
+			t.Errorf("%s: protocol invariants violated:\n%s", format, telemetry.FormatViolations(vs))
+		}
 	}
 	var sb strings.Builder
 	if err := run(append(append([]string{}, base...), "-trace", "x", "-trace-format", "nope"), &sb); err == nil {
 		t.Error("bad trace format accepted")
+	}
+	if err := run(append(append([]string{}, base...), "-trace", filepath.Join(t.TempDir(), "missing", "t.jsonl")), &sb); err == nil {
+		t.Error("unwritable trace path accepted")
 	}
 }

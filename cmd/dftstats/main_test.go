@@ -220,4 +220,11 @@ func TestBadInputs(t *testing.T) {
 	if err := run([]string{empty}, &sb); err == nil {
 		t.Error("empty file accepted")
 	}
+	junk := filepath.Join(t.TempDir(), "junk")
+	if err := os.WriteFile(junk, []byte("!!not a trace!!\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{junk}, &sb); err == nil {
+		t.Error("garbage file accepted")
+	}
 }

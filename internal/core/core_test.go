@@ -406,9 +406,10 @@ func TestKillMidCycleAbortsEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.sensor.Generate(500, 1000)
-	// Kill at an arbitrary instant: whatever phase the engine is in, the
-	// node must end up dead with the engine idle and no further events.
-	net.sched.After(2.345, net.sensor.Kill)
+	// Kill (crash, never recover) at an arbitrary instant: whatever phase
+	// the engine is in, the node must end up dead with the engine idle and
+	// no further events.
+	net.sched.After(2.345, func() { net.sensor.Crash(true) })
 	if err := net.sched.Run(30); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +417,7 @@ func TestKillMidCycleAbortsEngine(t *testing.T) {
 		t.Fatal("killed node alive")
 	}
 	if net.sensor.Engine().InCycle() {
-		t.Fatal("engine still mid-cycle after Kill")
+		t.Fatal("engine still mid-cycle after the kill")
 	}
 	cycles := net.sensor.Engine().Stats().Cycles
 	if err := net.sched.Run(60); err != nil {
@@ -425,8 +426,10 @@ func TestKillMidCycleAbortsEngine(t *testing.T) {
 	if net.sensor.Engine().Stats().Cycles != cycles {
 		t.Fatal("dead node kept cycling")
 	}
-	// Kill is idempotent and Generate on a dead node is harmless.
-	net.sensor.Kill()
+	// A second crash is a no-op and Generate on a dead node is harmless.
+	if lost := net.sensor.Crash(true); lost != nil {
+		t.Fatalf("Crash of a dead node wiped %v", lost)
+	}
 	net.sensor.Generate(501, 1000)
 }
 
@@ -516,16 +519,13 @@ func TestRecoverGuards(t *testing.T) {
 	if err := net.sensor.Recover(false); err == nil {
 		t.Fatal("Recover of a live node accepted")
 	}
-	// Killed (not crashed) nodes are down for good.
-	net.sensor.Kill()
-	if err := net.sensor.Recover(false); err == nil {
-		t.Fatal("Recover of a killed node accepted")
-	}
-	// Crash on an already-dead node is a no-op.
+	// Crash on an already-down node is a no-op. (Recover of a node down
+	// for good is TestBatteryDeadNodeCannotReboot's case.)
+	net.sensor.Crash(true)
 	if lost := net.sensor.Crash(true); lost != nil {
 		t.Fatalf("Crash of a dead node wiped %v", lost)
 	}
-	if net.sensor.Stats().Crashes != 0 {
+	if net.sensor.Stats().Crashes != 1 {
 		t.Fatal("Crash of a dead node counted")
 	}
 }

@@ -158,7 +158,7 @@ type Node struct {
 	stats   NodeStats
 	started bool
 	stopped bool
-	crashed bool // down by Crash (recoverable), not battery or Kill
+	crashed bool // down by Crash (recoverable), not battery
 
 	// Event elision: when elide is set, provably idle listen-only cycles
 	// coalesce into a single plan-end event (see planIdleSpan).
@@ -347,8 +347,8 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	if !n.Alive() {
-		// Crashed or killed before its scheduled start: a crashed node
-		// boots when Recover runs; a killed one never does.
+		// Crashed before its scheduled start: the node boots when
+		// Recover runs (never, after a fault-injection kill).
 		return nil
 	}
 	n.decayStart()
@@ -603,31 +603,15 @@ func (n *Node) FinalizeElision(horizon float64) {
 }
 
 // Alive reports whether the node's battery (if bounded) still has charge
-// and the node was not killed.
+// and the node is not crashed.
 func (n *Node) Alive() bool { return n.stats.DiedAt < 0 }
 
-// Kill fails the node immediately: the current cycle is abandoned, all
-// timers stop, and the radio goes dark for good. Used for fault-injection
-// experiments; the queue contents are lost with the node, exactly the
-// fault the paper's message redundancy is designed to tolerate.
-func (n *Node) Kill() {
-	if !n.Alive() {
-		return
-	}
-	now := n.sched.Now()
-	n.materialize(now)
-	n.stats.DiedAt = now
-	n.stopped = true
-	n.decayStop()
-	n.engine.Abort()
-	n.radio.Kill()
-	n.rec.Record(telemetry.Event{Time: now, Node: n.id, Type: telemetry.EvKill})
-}
-
-// Crash takes the node down like Kill, but recoverably: a later Recover
-// reboots it. wipeQueue destroys the queued message copies (the crash took
-// RAM with it) and returns their IDs; with wipeQueue false the buffer
-// survives the reboot (copies kept in flash).
+// Crash fails the node immediately: the current cycle is abandoned, all
+// timers stop, and the radio goes dark. A later Recover reboots it; a node
+// never recovered stays down for good (a fault-injection kill). wipeQueue
+// destroys the queued message copies (the crash took RAM with it) and
+// returns their IDs; with wipeQueue false the buffer survives the reboot
+// (copies kept in flash).
 func (n *Node) Crash(wipeQueue bool) []packet.MessageID {
 	if !n.Alive() {
 		return nil
@@ -652,13 +636,13 @@ func (n *Node) Crash(wipeQueue bool) []packet.MessageID {
 // Recover reboots a crashed node: the radio powers back up and the
 // working-cycle loop resumes. resetRouting clears learned soft state (ξ,
 // history) as a cold boot would. It fails for nodes that are alive, died
-// for good (battery, Kill), or whose battery cannot sustain a reboot.
+// for good (battery), or whose battery cannot sustain a reboot.
 func (n *Node) Recover(resetRouting bool) error {
 	if n.Alive() {
 		return errors.New("core: recover of a live node")
 	}
 	if !n.crashed {
-		return errors.New("core: node is down for good (battery or kill)")
+		return errors.New("core: node is down for good (battery)")
 	}
 	now := n.sched.Now()
 	if n.params.BatteryJoules > 0 && n.radio.Meter().TotalJoules(now) >= n.params.BatteryJoules {

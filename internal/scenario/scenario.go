@@ -130,9 +130,9 @@ type Config struct {
 
 	// Recorder optionally receives the run's typed trace-v2 events (nil =
 	// none). Attach a telemetry.JSONLWriter/BinaryWriter for files, a
-	// telemetry.Buffer for in-memory analysis, a telemetry.LegacyAdapter
-	// for the legacy TSV trace, or any custom Recorder; compose several
-	// with telemetry.Combine.
+	// telemetry.Buffer for in-memory analysis (telemetry.Verify checks its
+	// events against the protocol rules), or any custom Recorder; compose
+	// several with telemetry.Combine.
 	Recorder telemetry.Recorder `json:"-"`
 	// FrameCapture optionally receives every transmitted frame in the
 	// packet capture format (see packet.CaptureWriter); nil disables.

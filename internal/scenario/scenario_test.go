@@ -10,7 +10,6 @@ import (
 	"dftmsn/internal/faults"
 	"dftmsn/internal/geo"
 	"dftmsn/internal/telemetry"
-	"dftmsn/internal/trace"
 )
 
 // quickConfig returns a small, fast scenario for tests.
@@ -212,10 +211,9 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 func TestTracerReceivesEvents(t *testing.T) {
-	var sb strings.Builder
 	cfg := quickConfig(core.SchemeOPT)
-	w := trace.NewWriter(&sb, 0)
-	cfg.Recorder = telemetry.NewLegacyAdapter(w)
+	buf := &telemetry.Buffer{}
+	cfg.Recorder = buf
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,47 +221,74 @@ func TestTracerReceivesEvents(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	seen := make(map[telemetry.EventType]bool)
+	for _, ev := range buf.Events {
+		seen[ev.Type] = true
 	}
-	out := sb.String()
-	for _, ev := range []string{"gen", "sleep", "wake", "rx-data"} {
-		if !strings.Contains(out, "\t"+ev) {
-			t.Errorf("trace missing %q events", ev)
+	for _, typ := range []telemetry.EventType{telemetry.EvGen, telemetry.EvSleep, telemetry.EvWake, telemetry.EvRx} {
+		if !seen[typ] {
+			t.Errorf("trace missing %s events", typ)
 		}
 	}
 }
 
 func TestTraceInvariantsHoldForEveryScheme(t *testing.T) {
-	// Run each scheme with tracing (plus failures, to cover the death
-	// path) and check the protocol invariants on the resulting trace.
+	// Run each scheme with tracing and check the protocol invariants on
+	// the resulting event stream, under two fault arms: a kill (the death
+	// path) and churn plus a sink outage and burst loss (the crash/reboot
+	// lifecycle, rules 5-6).
+	arms := []struct {
+		name    string
+		reboots bool // the arm must exercise the reboot path
+		plan    func(d float64) *faults.Plan
+	}{
+		{"kill", false, func(d float64) *faults.Plan {
+			return &faults.Plan{Kills: []faults.Kill{{AtSeconds: d / 2, Fraction: 0.2}}}
+		}},
+		{"churn", true, func(d float64) *faults.Plan {
+			return &faults.Plan{
+				Churn:       &faults.Churn{MTBFSeconds: 120, MTTRSeconds: 30},
+				SinkOutages: []faults.Outage{{Sink: 0, StartSeconds: d / 4, DurationSeconds: d / 4}},
+				Burst:       &faults.Burst{GoodLossProb: 0.01, BadLossProb: 0.5, MeanGoodSeconds: 40, MeanBadSeconds: 10},
+				Kills:       []faults.Kill{{AtSeconds: d / 2, Fraction: 0.2}},
+			}
+		}},
+	}
 	for _, sch := range core.AllSchemes() {
 		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
-			var sb strings.Builder
-			w := trace.NewWriter(&sb, 0)
-			cfg := quickConfig(sch)
-			cfg.Recorder = telemetry.NewLegacyAdapter(w)
-			cfg.Faults = &faults.Plan{Kills: []faults.Kill{{AtSeconds: cfg.DurationSeconds / 2, Fraction: 0.2}}}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			recs, err := trace.Parse(strings.NewReader(sb.String()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) == 0 {
-				t.Fatal("empty trace")
-			}
-			if vs := trace.Verify(recs); len(vs) != 0 {
-				t.Fatalf("protocol invariants violated:\n%s", trace.FormatViolations(vs))
+			for _, arm := range arms {
+				t.Run(arm.name, func(t *testing.T) {
+					buf := &telemetry.Buffer{}
+					cfg := quickConfig(sch)
+					cfg.Recorder = buf
+					cfg.Faults = arm.plan(cfg.DurationSeconds)
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if len(buf.Events) == 0 {
+						t.Fatal("empty trace")
+					}
+					var crashes, reboots int
+					for _, ev := range buf.Events {
+						switch ev.Type {
+						case telemetry.EvCrash:
+							crashes++
+						case telemetry.EvReboot:
+							reboots++
+						}
+					}
+					if crashes == 0 || (reboots > 0) != arm.reboots {
+						t.Fatalf("%d crashes, %d reboots: the arm missed its lifecycle path", crashes, reboots)
+					}
+					if vs := telemetry.Verify(buf.Events); len(vs) != 0 {
+						t.Fatalf("protocol invariants violated:\n%s", telemetry.FormatViolations(vs))
+					}
+				})
 			}
 		})
 	}

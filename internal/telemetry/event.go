@@ -1,8 +1,7 @@
 // Package telemetry is the simulator's typed observability layer: trace v2.
 //
-// Where internal/trace emits free-form tab-separated strings, telemetry
-// emits schema-versioned Events with structured fields, so tools can query
-// a run instead of grepping it. The package provides
+// The protocol stack emits schema-versioned Events with structured fields,
+// so tools can query a run instead of grepping it. The package provides
 //
 //   - the Event model and the Recorder interface the protocol stack emits
 //     into (the Nop recorder is allocation-free, so untraced runs pay
@@ -11,6 +10,8 @@
 //     framing for bulk runs — with auto-detecting readers;
 //   - a provenance Ledger reconstructing each message's custody chain
 //     (origin → relays → sink/drop) from the event stream;
+//   - Verify, an offline check of the node-level protocol rules (sleep/wake
+//     alternation, radio off while asleep, the crash/reboot lifecycle);
 //   - a metrics Registry of counters, gauges and fixed-bucket histograms,
 //     periodically snapshotted into a time series via the simulation
 //     kernel's post-event hook.
@@ -59,7 +60,9 @@ const (
 	EvCrash
 	// EvReboot: a crashed node recovered.
 	EvReboot
-	// EvKill: fault injection took the node down for good.
+	// EvKill: the node went down for good. The simulator does not emit it
+	// (a fault-injection kill is an EvCrash with no later EvReboot); the
+	// code stays so existing binary traces still decode.
 	EvKill
 	// EvDied: the node exhausted its battery. Value = the budget in joules.
 	EvDied

@@ -7,9 +7,8 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
-
-	"dftmsn/internal/trace"
 )
 
 func sampleEvents() []Event {
@@ -107,7 +106,7 @@ func TestDetectFormat(t *testing.T) {
 		t.Errorf("binary detect = %v, %v", f, err)
 	}
 	if _, err := DetectFormat(bufio.NewReader(strings.NewReader("0.5\t3\tgen\tmsg=1\n"))); err == nil {
-		t.Error("legacy TSV detected as trace v2")
+		t.Error("tab-separated text detected as trace v2")
 	}
 }
 
@@ -165,6 +164,40 @@ func TestWriterFlushSurfacesWriteError(t *testing.T) {
 	}
 }
 
+// TestWriterConcurrentSafety backs the Recorder contract that the
+// file-backed writers may be shared across goroutines: no event is lost
+// or torn, in either encoding.
+func TestWriterConcurrentSafety(t *testing.T) {
+	for _, format := range []Format{FormatJSONL, FormatBinary} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					w.Record(Event{Time: float64(i), Type: EvGen, Msg: 1})
+				}
+			}()
+		}
+		wg.Wait()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if len(events) != 800 {
+			t.Fatalf("%s: read %d events, want 800", format, len(events))
+		}
+	}
+}
+
 func TestParseEventTypeRoundTrip(t *testing.T) {
 	for _, typ := range EventTypes() {
 		got, ok := ParseEventType(typ.String())
@@ -193,37 +226,6 @@ func TestCombine(t *testing.T) {
 	m.Record(Event{Type: EvGen, Msg: 7})
 	if len(b.Events) != 1 || len(b2.Events) != 1 {
 		t.Errorf("Multi fan-out: got %d, %d events", len(b.Events), len(b2.Events))
-	}
-}
-
-// TestLegacyAdapterByteCompatible locks the adapter to the historical TSV
-// lines byte for byte.
-func TestLegacyAdapterByteCompatible(t *testing.T) {
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf, 0)
-	a := NewLegacyAdapter(w)
-	for _, ev := range sampleEvents() {
-		a.Record(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	want := strings.Join([]string{
-		"0.500000\t4\tgen\tmsg=1",
-		"0.600000\t5\tgen-drop\tmsg=2",
-		"1.500000\t4\tschedule\tmsg=1 receivers=2",
-		"1.750000\t0\trx-data\tmsg=1 from=4 ftd=0.500 kept=true",
-		"1.750000\t9\trx-data\tmsg=1 from=4 ftd=0.250 kept=false",
-		"2.000000\t4\ttx-outcome\tscheduled=2 acked=1",
-		"4.000000\t7\tsleep\tdur=12.500",
-		"16.500000\t7\twake\t",
-		"20.000000\t8\tcrash\tlost=3",
-		"25.000000\t8\trecover\t",
-		"30.000000\t6\tkilled\t",
-		"40.000000\t3\tdied\tjoules=100.000",
-	}, "\n") + "\n"
-	if buf.String() != want {
-		t.Errorf("legacy lines:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
